@@ -1,9 +1,13 @@
 """End-to-end certified low-rank approximation of a sparse matrix.
 
 Plans a partition (sort columns by norm, rows by size), zeroes the
-bottom-right block, block-diagonalizes the rest, and reports the top
+bottom-right block D, solves the rank-<=2k remainder R0 from its factors
+(a thin QR of each, then one SVD of the 2k x 2k core), and reports the top
 singular values with a certified error of twice the dropped block's norm.
-Round-trips the matrix through Matrix Market along the way.
+Nothing iterates, so the report's ``iterations`` is 0 and ``converged`` is
+always true; the block-rotation sweeps give the same values and stay as the
+reference (``blockdiag.top_singular_values``). Round-trips the matrix
+through Matrix Market along the way.
 """
 
 import tempfile

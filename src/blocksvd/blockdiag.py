@@ -236,21 +236,26 @@ class GapCertificate:
                 "norm_right": self.norm_right, "certified": bool(self.certified)}
 
 
-def top_singular_values(p: BlockPartition, i: int, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER):
-    """Top i singular values of R via block diagonalization.
-
-    Returns (values, certificate, result). The certificate records both
-    sides of the gap condition sigma_i(R[:, :k]) >= ||R[:, k:]||; when it
-    fails the values are still returned, uncertified.
-    """
+def gap_certificate(p: BlockPartition, i: int) -> GapCertificate:
+    """Both sides of the gap condition sigma_i(R[:, :k]) >= ||R[:, k:]||."""
     if not (1 <= i <= p.k):
         raise MatrixError(f"need 1 <= i <= k, got i={i}, k={p.k}")
     sig_left = np.linalg.svd(p.left_band(), compute_uv=False)
     norm_right = operator_norm(p.right_band())
-    cert = GapCertificate(i=i, sigma_i_left=float(sig_left[i - 1]),
+    return GapCertificate(i=i, sigma_i_left=float(sig_left[i - 1]),
                           norm_right=norm_right,
                           certified=bool(sig_left[i - 1] >= norm_right))
+
+
+def top_singular_values(p: BlockPartition, i: int, tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER):
+    """Top i singular values of R via block diagonalization.
+
+    Returns (values, certificate, result). The certificate is
+    ``gap_certificate(p, i)``; when it fails the values are still returned,
+    uncertified.
+    """
+    cert = gap_certificate(p, i)
     res = block_diagonalize(p, tol=tol, max_iter=max_iter)
     values = svd(res.a_inf).sigma[:i]
     return values, cert, res

@@ -81,8 +81,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_approx(args) -> int:
     r = mmio.read_matrix(args.matrix)
-    report = pl.algorithm2(r, k=args.k, i=args.i, tol=args.tol,
-                           max_iter=args.max_iter, oracle=args.oracle)
+    report = pl.algorithm2(r, k=args.k, i=args.i, oracle=args.oracle)
     _emit(report.to_json(), args.output)
     if args.oracle:
         tol = report.error_bound + 1e-9 * float(np.linalg.norm(r, 2))
@@ -101,33 +100,31 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="Block-rotation singular value toolkit")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=True, k=True):
-        if matrix:
-            p.add_argument("matrix", help="Matrix Market coordinate file")
-        if k:
-            p.add_argument("--k", type=int, required=True, help="partition split")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=bd.DEFAULT_TOL)
-        p.add_argument("--max-iter", type=int, default=bd.DEFAULT_MAX_ITER)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--oracle", action="store_true",
-                       help="compare against a dense SVD")
+    def matrix_command(name, help, k_required=True, k_help="partition split"):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("matrix", help="Matrix Market coordinate file")
+        p.add_argument("--k", type=int, required=k_required, default=None, help=k_help)
         p.add_argument("-o", "--output", default=None, help="write JSON here")
+        return p
 
-    common(sub.add_parser("blockdiag", help="iterate block rotations to a diagonal"))
-    p = sub.add_parser("bounds", help="singular value perturbation bounds")
-    common(p)
+    oracle_help = "compare against a dense SVD"
+    p = matrix_command("blockdiag", "iterate block rotations to a diagonal")
+    p.add_argument("--tol", type=float, default=bd.DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=bd.DEFAULT_MAX_ITER)
+    p.add_argument("--oracle", action="store_true", help=oracle_help)
+    p = matrix_command("bounds", "singular value perturbation bounds")
     p.add_argument("--i", type=int, default=None, help="value index (default k)")
-    p = sub.add_parser("plan", help="permute and split a non-negative matrix")
-    common(p, k=False)
-    p.add_argument("--k", type=int, default=None, help="fixed split (default: scan)")
+    p = matrix_command("plan", "permute and split a non-negative matrix",
+                       k_required=False, k_help="fixed split (default: scan)")
     p.add_argument("--alpha", type=float, default=1.0, help="size shape parameter")
-    p = sub.add_parser("approx", help="certified top singular values")
-    common(p)
+    p = matrix_command("approx", "certified top singular values")
     p.add_argument("--i", type=int, required=True, help="number of values")
+    p.add_argument("--oracle", action="store_true", help=oracle_help)
     p = sub.add_parser("verify", help="run a self-check suite")
     p.add_argument("suite", choices=vf.SUITES + ("all",))
-    common(p, matrix=False, k=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("-o", "--output", default=None, help="write JSON here")
     return top
 
 
@@ -141,7 +138,7 @@ def main(argv=None) -> int:
                 "plan": _cmd_plan, "approx": _cmd_approx, "verify": _cmd_verify}
     try:
         return dispatch[args.command](args)
-    except (MatrixError, pl.PipelineError, OSError) as exc:
+    except (MatrixError, pl.PipelineError, bd.PivotSingularError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -261,15 +261,21 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
     ident = (np.array_equal(plan2.column_permutation, np.arange(12))
              and np.array_equal(plan2.row_permutation, np.arange(30)))
     rep.add("planner_idempotent", 0.0 if ident else -1.0)
-    worst = np.inf
+    worst = worst_match = np.inf
     for _ in range(max(trials // 100, 3)):
         r = rng.standard_normal((60, 24))
         r[:, :8] *= 5.0
         r[8:, 8:] *= 0.01
         report = pl.algorithm2(r, k=8, i=4, oracle=True)
-        worst = min(worst, 2.0 * report.norm_d + 1e-9 * mc.operator_norm(r)
+        norm_r = mc.operator_norm(r)
+        worst = min(worst, 2.0 * report.norm_d + 1e-9 * norm_r
                     - float(report.oracle_deviations.max()))
+        p0 = mc.BlockPartition(mc.BlockPartition(r, report.k).zero_d(), report.k)
+        rotations, _, _ = bd.top_singular_values(p0, 4)
+        worst_match = min(worst_match, 1e-10 * norm_r
+                          - float(np.abs(report.values - rotations).max()))
     rep.add("certified_error_sound", worst)
+    rep.add("direct_matches_rotations", worst_match)
     return rep
 
 

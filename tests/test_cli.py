@@ -40,6 +40,14 @@ class TestBlockdiagCommand:
         rep = json.loads(out.read_text())
         assert rep["oracle_max_dev"] <= 1e-9 * np.linalg.norm(r, 2)
 
+    def test_singular_pivot_usage_error(self, tmp_path, capsys):
+        r = np.abs(RNG.standard_normal((12, 8)))
+        r[1, :3] = 0.0  # empty row in the 3x3 pivot block
+        path = tmp_path / "singular.mtx"
+        mmio.write_matrix(path, r)
+        assert run(["blockdiag", path, "--k", 3]) == 2
+        assert capsys.readouterr().err.startswith("error: pivot block singular")
+
 
 class TestBoundsCommand:
     def test_reports_contain_oracle(self, tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from blocksvd import blockdiag as bd
 from blocksvd import pipeline as pl
-from blocksvd.matcore import MatrixError
+from blocksvd.matcore import BlockPartition, MatrixError, operator_norm
 
 RNG = np.random.default_rng(515)
 
@@ -147,3 +148,40 @@ class TestAlgorithm2:
         assert {"rank", "k", "values", "error_bound", "certificate",
                 "converged", "iterations", "warnings",
                 "oracle_values", "oracle_deviations"} <= set(d)
+
+
+def shrinking_pivot():
+    """k=6 pivot with an empty row, so the split must shrink to k=5."""
+    r = planted_low_rank(30, 20, 5, 0.01, np.random.default_rng(17))
+    r[5, :6] = 0.0
+    return r
+
+
+class TestDirectMatchesRotations:
+    """The factored R0 solve against the block-rotation reference path."""
+
+    @pytest.mark.parametrize("name, r, k, i, want_k, want_warnings", [
+        ("tall", planted_low_rank(120, 30, 6, 0.01, np.random.default_rng(16)),
+         6, 4, 6, []),
+        ("square_2k_ge_n", planted_low_rank(80, 80, 40, 0.01, np.random.default_rng(18)),
+         40, 5, 40, []),
+        ("tall_2k_ge_n", planted_low_rank(30, 20, 12, 0.01, np.random.default_rng(19)),
+         12, 4, 12, []),
+        ("pivot_shrinks", shrinking_pivot(), 6, 3, 5,
+         ["pivot singular at k=6; shrunk to k=5"]),
+        ("zero_d", planted_low_rank(30, 20, 5, 0.0, np.random.default_rng(20)),
+         5, 5, 5, []),
+    ])
+    def test_same_report(self, name, r, k, i, want_k, want_warnings):
+        rep = pl.algorithm2(r, k=k, i=i)
+        assert rep.k == want_k
+        assert rep.warnings == want_warnings
+        assert rep.iterations == 0
+        assert rep.converged is True
+        p = BlockPartition(r, rep.k)
+        values, cert, res = bd.top_singular_values(BlockPartition(p.zero_d(), rep.k), i)
+        assert res.converged
+        assert rep.certificate == cert
+        assert rep.error_bound == 2.0 * operator_norm(p.d)
+        np.testing.assert_allclose(rep.values, values, rtol=0.0,
+                                   atol=1e-10 * np.linalg.norm(r, 2))
