@@ -5,6 +5,17 @@ optional comment lines, a size line, then one entry per line. Writing is
 deterministic — entries sorted row-major, values formatted with %.17g so a
 read-back reproduces the float64 exactly. Reading validates structure and
 reports the offending line number on failure.
+
+Reading has two paths over the entry lines. The fast path parses all of
+them in one ``np.loadtxt`` call and checks index ranges, the lower triangle
+of symmetric files, duplicates and the entry count with array operations.
+It refuses any file it cannot take whole: a token numpy will not parse
+(``1.0`` or ``1_0`` as an index, a ``%`` comment between entries, a wrong
+token count), a loadtxt warning, or a failed range, triangle or duplicate
+check. A refused file goes to the per-line loop, which either names its
+first bad line or, for spellings Python accepts and numpy does not (``1_0``,
+comment lines between entries), returns the same matrix. The fast path
+accepts no file the loop would reject, and both return the same bits.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from .matcore import MatrixError
 
 _HEADER = "%%MatrixMarket matrix coordinate real"
 _SYMMETRIES = ("general", "symmetric")
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 class MatrixMarketError(MatrixError):
@@ -25,70 +37,110 @@ def _fail(lineno: int, msg: str):
     raise MatrixMarketError(f"line {lineno}: {msg}")
 
 
+def _read_header(fh) -> tuple[bool, int, int, int, int]:
+    """Parse the header, comment and size lines of an open file.
+
+    Leaves ``fh`` just past the size line and returns
+    ``(symmetric, rows, cols, nnz, size_line)``, the last 1-based.
+    """
+    first = fh.readline()
+    if not first:
+        raise MatrixMarketError("line 1: empty file")
+    head = first.strip().lower().split()
+    want = _HEADER.lower().split()
+    if len(head) != 5 or head[:4] != want[:4] or head[4] not in _SYMMETRIES:
+        _fail(1, f"expected header {_HEADER!r} + general|symmetric, got {first.strip()!r}")
+    symmetric = head[4] == "symmetric"
+
+    lineno, line = 2, fh.readline()
+    while line.lstrip().startswith("%"):
+        lineno, line = lineno + 1, fh.readline()
+    while line and not line.strip():
+        lineno, line = lineno + 1, fh.readline()
+    if not line:
+        _fail(lineno - 1, "missing size line")
+    parts = line.split()
+    if len(parts) != 3:
+        _fail(lineno, f"size line needs 'rows cols entries', got {line.strip()!r}")
+    try:
+        rows, cols, nnz = (int(p) for p in parts)
+    except ValueError:
+        _fail(lineno, f"non-integer size line {line.strip()!r}")
+    if rows < 1 or cols < 1 or nnz < 0:
+        _fail(lineno, f"invalid dimensions {rows} x {cols}, {nnz} entries")
+    if symmetric and rows != cols:
+        _fail(lineno, "symmetric storage requires a square matrix")
+    return symmetric, rows, cols, nnz, lineno
+
+
+def _read_by_lines(path) -> np.ndarray:
+    """Per-line reader for the files the fast path of ``read_matrix`` refuses."""
+    with open(path, "r") as fh:
+        symmetric, rows, cols, nnz, size_line = _read_header(fh)
+        out = np.zeros((rows, cols))
+        seen = set()
+        count = 0
+        for lineno, line in enumerate(fh, start=size_line + 1):
+            text = line.strip()
+            if not text or text.startswith("%"):
+                continue
+            parts = text.split()
+            if len(parts) != 3:
+                _fail(lineno, f"entry needs 'row col value', got {text!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                v = float(parts[2])
+            except ValueError:
+                _fail(lineno, f"malformed entry {text!r}")
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                _fail(lineno, f"index ({i}, {j}) outside {rows} x {cols}")
+            if symmetric and j > i:
+                _fail(lineno, f"upper-triangle entry ({i}, {j}) in symmetric storage")
+            if (i, j) in seen:
+                _fail(lineno, f"duplicate entry for ({i}, {j})")
+            seen.add((i, j))
+            out[i - 1, j - 1] = v
+            if symmetric and i != j:
+                out[j - 1, i - 1] = v
+            count += 1
+    if count != nnz:
+        raise MatrixMarketError(
+            f"line {size_line}: size line promises {nnz} entries, file has {count}")
+    return out
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a real coordinate Matrix Market file into a dense array.
 
     Supports general and symmetric storage; symmetric files carry the lower
     triangle and are expanded on read. Unspecified entries are zero.
     """
+    import warnings  # already loaded by the interpreter; no import cost
+
     with open(path, "r") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError("line 1: empty file")
-    head = lines[0].strip().lower().split()
-    want = _HEADER.lower().split()
-    if len(head) != 5 or head[:4] != want[:4] or head[4] not in _SYMMETRIES:
-        _fail(1, f"expected header {_HEADER!r} + general|symmetric, got {lines[0].strip()!r}")
-    symmetric = head[4] == "symmetric"
-
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
-        _fail(len(lines), "missing size line")
-    parts = lines[idx].split()
-    if len(parts) != 3:
-        _fail(idx + 1, f"size line needs 'rows cols entries', got {lines[idx].strip()!r}")
-    try:
-        rows, cols, nnz = (int(p) for p in parts)
-    except ValueError:
-        _fail(idx + 1, f"non-integer size line {lines[idx].strip()!r}")
-    if rows < 1 or cols < 1 or nnz < 0:
-        _fail(idx + 1, f"invalid dimensions {rows} x {cols}, {nnz} entries")
-    if symmetric and rows != cols:
-        _fail(idx + 1, "symmetric storage requires a square matrix")
-
-    out = np.zeros((rows, cols))
-    seen = set()
-    count = 0
-    for lineno in range(idx + 1, len(lines)):
-        text = lines[lineno].strip()
-        if not text or text.startswith("%"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            _fail(lineno + 1, f"entry needs 'row col value', got {text!r}")
+        symmetric, rows, cols, nnz, size_line = _read_header(fh)
+        out = np.zeros((rows, cols))
+        # A warning refuses the file too: loadtxt warns on an empty body, and
+        # numpy releases that still parse "1.0" as an integer warn on it.
         try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[2])
-        except ValueError:
-            _fail(lineno + 1, f"malformed entry {text!r}")
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            _fail(lineno + 1, f"index ({i}, {j}) outside {rows} x {cols}")
-        if symmetric and j > i:
-            _fail(lineno + 1, f"upper-triangle entry ({i}, {j}) in symmetric storage")
-        if (i, j) in seen:
-            _fail(lineno + 1, f"duplicate entry for ({i}, {j})")
-        seen.add((i, j))
-        out[i - 1, j - 1] = v
-        if symmetric and i != j:
-            out[j - 1, i - 1] = v
-        count += 1
-    if count != nnz:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entries = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return _read_by_lines(path)
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    if (i.min() < 1 or i.max() > rows or j.min() < 1 or j.max() > cols
+            or (symmetric and np.any(j > i))):
+        return _read_by_lines(path)
+    keys = np.sort((i - 1) * cols + (j - 1))
+    if np.any(keys[1:] == keys[:-1]):
+        return _read_by_lines(path)
+    if entries.size != nnz:
         raise MatrixMarketError(
-            f"line {idx + 1}: size line promises {nnz} entries, file has {count}")
+            f"line {size_line}: size line promises {nnz} entries, file has {entries.size}")
+    out[i - 1, j - 1] = v
+    if symmetric:
+        out[j - 1, i - 1] = v
     return out
 
 

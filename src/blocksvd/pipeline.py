@@ -183,11 +183,19 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     m, n = r.shape
     if n > DENSE_LIMIT:
         raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {n}")
-    norm_r = operator_norm(r)
+    # ||R||_2 <= ||R||_F, so a pivot that clears the threshold scaled by the
+    # Frobenius norm (padded past rounding) clears the spectral one too; the
+    # exact ||R||_2 is computed only for a pivot below it.
+    norm_upper = (1.0 + 1e-6) * np.linalg.norm(r)
+    norm_r = None
     warnings: list[str] = []
     kk = k
     while kk > i:
         sigma_pivot = np.linalg.svd(r[:kk, :kk], compute_uv=False)[-1]
+        if sigma_pivot >= MIN_PIVOT_FACTOR * norm_upper:
+            break
+        if norm_r is None:
+            norm_r = operator_norm(r)
         if sigma_pivot >= MIN_PIVOT_FACTOR * norm_r:
             break
         kk -= 1

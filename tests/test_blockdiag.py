@@ -151,6 +151,12 @@ class TestTopSingularValues:
             norm = mc.operator_norm(p.base)
             assert np.max(np.abs(values - oracle)) <= 1e-9 * norm
 
+    def test_zero_d_certificate_uses_b(self):
+        r = RNG.standard_normal((30, 12))
+        r[5:, 5:] = 0.0
+        cert = bd.gap_certificate(mc.BlockPartition(r, 5), 3)
+        assert cert.norm_right == pytest.approx(mc.operator_norm(r[:, 5:]), rel=1e-14)
+
     def test_no_gap_uncertified(self):
         r = RNG.standard_normal((8, 6))
         r[:, :2] *= 1e-3

@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from blocksvd import mmio
 from blocksvd.matcore import MatrixError
@@ -83,3 +88,86 @@ class TestRejections:
         with pytest.raises(MatrixError):
             mmio.write_matrix(tmp_path / "x.mtx", np.array([[1.0, 2.0], [3.0, 4.0]]),
                               symmetric=True)
+
+
+GENERAL = "%%MatrixMarket matrix coordinate real general"
+SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric"
+
+
+def outcome(read, path):
+    """The array a reader returns, or the message of its MatrixMarketError."""
+    try:
+        return read(path)
+    except mmio.MatrixMarketError as exc:
+        return str(exc)
+
+
+class TestVectorizedMatchesLineLoop:
+    """read_matrix against the per-line loop it keeps for refused files."""
+
+    CASES = [
+        ("crlf", GENERAL + "\r\n2 2 2\r\n1 1 1.5\r\n2 2 -3\r\n", None),
+        ("comments_blanks_between", GENERAL + "\n2 2 2\n1 1 1.5\n\n% note\n  \n2 1 4\n",
+         None),
+        ("tabs", GENERAL + "\n2 2 2\n1\t1\t1.5\n2 \t 2\t\t-3\n", None),
+        ("plus_index", GENERAL + "\n2 2 1\n+1 +2 1.5\n", None),
+        ("underscore_index", GENERAL + "\n10 10 1\n1_0 1 1.5\n", None),
+        ("float_index", GENERAL + "\n2 2 2\n1 1 1\n1.0 2 1.5\n", "line 4: malformed entry"),
+        ("exp_index", GENERAL + "\n2 2 1\n1e0 2 1.5\n", "line 3: malformed entry"),
+        ("trailing_note", GENERAL + "\n2 2 1\n1 1 1.5 % note\n", "line 3: entry needs"),
+        ("no_entries", GENERAL + "\n3 2 0\n", None),
+        ("no_entries_but_one", GENERAL + "\n3 2 0\n1 1 2\n",
+         "line 2: size line promises 0 entries, file has 1"),
+        ("upper_triangle", SYMMETRIC + "\n3 3 2\n2 1 1\n1 3 2\n", "line 4: upper-triangle"),
+        ("late_duplicate", GENERAL + "\n3 3 5\n1 1 1\n2 2 2\n3 3 3\n3 1 4\n2 2 5\n",
+         "line 7: duplicate entry for \\(2, 2\\)"),
+        ("index_beyond_int64", GENERAL + "\n2 2 2\n1 1 1\n99999999999999999999 1 2\n",
+         "line 4: index \\(99999999999999999999, 1\\) outside 2 x 2"),
+        ("nan_inf", GENERAL + "\n2 2 4\n1 1 nan\n1 2 -inf\n2 1 inf\n2 2 -nan\n", None),
+        ("short_line", GENERAL + "\n2 2 2\n1 1 1\n2 2\n", "line 4: entry needs"),
+        ("count_mismatch", GENERAL + "\n2 2 3\n1 1 1\n2 2 2\n",
+         "line 2: size line promises 3 entries, file has 2"),
+        ("out_of_range", GENERAL + "\n2 2 2\n1 1 1\n0 1 2\n", "line 4: index \\(0, 1\\)"),
+        ("symmetric_expands", SYMMETRIC + "\n3 3 3\n1 1 1\n3 1 2\n3 2 -4\n", None),
+    ]
+
+    @pytest.mark.parametrize("name, text, error", CASES, ids=[c[0] for c in CASES])
+    def test_same_outcome(self, tmp_path, name, text, error):
+        path = tmp_path / f"{name}.mtx"
+        path.write_bytes(text.encode())
+        got, want = outcome(mmio.read_matrix, path), outcome(mmio._read_by_lines, path)
+        if error is None:
+            assert isinstance(got, np.ndarray)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+            assert re.match(error, got)
+
+    def test_clean_file_skips_line_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "clean.mtx"
+        m = RNG.standard_normal((9, 4))
+        m[RNG.random((9, 4)) < 0.4] = 0.0
+        mmio.write_matrix(path, m)
+        monkeypatch.setattr(mmio, "_read_by_lines", None)
+        np.testing.assert_array_equal(mmio.read_matrix(path), m)
+
+
+sparse_matrices = arrays(
+    np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7),
+    elements=st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False)))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=sparse_matrices, symmetric=st.booleans())
+    def test_write_read_bit_identical(self, tmp_path, m, symmetric):
+        if symmetric:
+            side = min(m.shape)
+            m = np.tril(m[:side, :side]) + np.tril(m[:side, :side], -1).T
+        path = tmp_path / "h.mtx"
+        mmio.write_matrix(path, m, symmetric=symmetric)
+        got = mmio.read_matrix(path)
+        # -0.0 is not stored, so it reads back as +0.0.
+        assert got.tobytes() == (m + 0.0).tobytes()
+        assert got.tobytes() == mmio._read_by_lines(path).tobytes()

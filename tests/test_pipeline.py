@@ -130,6 +130,16 @@ class TestAlgorithm2:
             assert rep.warnings
         assert rep.converged
 
+    def test_pivot_between_spectral_and_frobenius_thresholds_kept(self):
+        # sigma_k(A) = 5e-10 with ||R||_2 = 1 and ||R||_F = sqrt(99): the pivot
+        # fails a test scaled by ||R||_F, so only the exact ||R||_2 keeps it.
+        r = np.eye(100)
+        r[9, 9] = 5e-10
+        assert 1e-10 * np.linalg.norm(r, 2) < 5e-10 < 1e-10 * np.linalg.norm(r)
+        rep = pl.algorithm2(r, k=10, i=3)
+        assert rep.k == 10
+        assert rep.warnings == []
+
     def test_too_wide_rejected(self):
         with pytest.raises(pl.PipelineError):
             pl.algorithm2(np.ones((3, 2001)), k=2, i=1)
