@@ -5,11 +5,12 @@ certified extraction of top singular values."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
 from .matcore import BlockPartition, MatrixError, as_matrix, operator_norm, svd
-from .givens import BlockGivens, SingularBlockError, build_left_rotation, build_right_rotation
+from .givens import BlockGivens, SingularBlockError, _build_rotation
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -44,31 +45,55 @@ class SweepTrace:
     records: list[SweepRecord] = field(default_factory=list)
 
     def append_state(self, t: int, p: BlockPartition, degenerate: bool = False):
+        """Record R_t. An exactly zero block, as each step leaves the
+        off-block it annihilates, costs no SVD: its norm is 0.0, with C_t = 0
+        the left band [A_t; 0] has the spectrum of A_t, and with B_t = 0 the
+        right band [0; D_t] has the norm of D_t."""
         sa = np.linalg.svd(p.a, compute_uv=False)
+        c_zero, b_zero = not p.c.any(), not p.b.any()
+        norm_d = operator_norm(p.d) if p.d.any() else 0.0
         self.records.append(SweepRecord(
             t=t,
-            norm_a=operator_norm(p.a),
+            norm_a=float(sa[0]),
             sigma_a=sa,
             sigma_k_a=float(sa[-1]),
-            norm_b=operator_norm(p.b),
-            norm_c=operator_norm(p.c),
-            norm_d=operator_norm(p.d),
-            sigma_left_band=np.linalg.svd(p.left_band(), compute_uv=False),
-            norm_right_band=operator_norm(p.right_band()),
+            norm_b=0.0 if b_zero else operator_norm(p.b),
+            norm_c=0.0 if c_zero else operator_norm(p.c),
+            norm_d=norm_d,
+            sigma_left_band=sa if c_zero else np.linalg.svd(p.left_band(), compute_uv=False),
+            norm_right_band=norm_d if b_zero else operator_norm(p.right_band()),
             degenerate=degenerate,
         ))
 
 
 @dataclass
 class BlockDiagResult:
+    """Outcome of ``block_diagonalize``.
+
+    ``final`` is the last iterate R_t, with pivot block ``a_inf`` and
+    trailing block ``d_inf``; ``rotations`` holds each step's rotation in
+    thin form, in order. The accumulated factors ``q_left`` and
+    ``q_right``, with q_left @ R @ q_right = R_t, are replayed from
+    ``rotations`` on first access (reorthogonalized whenever their drift
+    exceeds REORTH_DRIFT per dimension), so a run that never reads them
+    never builds them.
+    """
+
     a_inf: np.ndarray
     d_inf: np.ndarray
-    q_left: np.ndarray    # accumulated left factor: q_left @ R @ q_right = R_t
-    q_right: np.ndarray
     trace: SweepTrace
     converged: bool
     iterations: int
     final: np.ndarray     # the last iterate R_t
+    rotations: list[BlockGivens]
+
+    @cached_property
+    def q_left(self) -> np.ndarray:
+        return _accumulate(self.rotations, "left", self.final.shape[0])
+
+    @cached_property
+    def q_right(self) -> np.ndarray:
+        return _accumulate(self.rotations, "right", self.final.shape[1])
 
 
 class PivotSingularError(RuntimeError):
@@ -85,6 +110,20 @@ def _reorthogonalize(q: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def _accumulate(rotations: list[BlockGivens], side: str, dim: int) -> np.ndarray:
+    """Product of the rotations of one side, in the order they were applied."""
+    q = np.eye(dim)
+    for g in rotations:
+        if g.side != side:
+            continue
+        g.apply(q)
+        # Frobenius drift bounds the spectral drift, so this reorthogonalizes
+        # at least as often as a check on ||Q^T Q - I||_2 would.
+        if np.linalg.norm(q.T @ q - np.eye(dim)) > REORTH_DRIFT * dim:
+            q = _reorthogonalize(q)
+    return q
+
+
 def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER,
                       first: str = "left") -> BlockDiagResult:
@@ -92,54 +131,40 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
 
     The first step eliminates C (left rotation) by default. Stops when
     max(||B_t||, ||C_t||) <= tol * ||R||; raises PivotSingularError if the
-    pivot block degenerates mid-run.
+    pivot block degenerates mid-run. Each rotation acts on the iterate
+    through its rank-r coupling, r <= k, never as a dense product.
     """
     if first not in ("left", "right"):
         raise ValueError("first must be 'left' or 'right'")
-    r = p.base
     k = p.k
-    m, n = r.shape
-    scale = operator_norm(r)
+    scale = operator_norm(p.base)
+    cur = BlockPartition(p.base.copy(), k)  # the iterate, rotated in place
     trace = SweepTrace(k=k)
-    trace.append_state(0, p)
-    q_left = np.eye(m)
-    q_right = np.eye(n)
-    cur = p
+    trace.append_state(0, cur)
+    rotations: list[BlockGivens] = []
     rec = trace.records[0]
     converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
     t = 0
     while not converged and t < max_iter:
         side = ("left", "right")[t % 2] if first == "left" else ("right", "left")[t % 2]
         try:
-            if side == "left":
-                g = build_left_rotation(cur)
-                nxt = g.matrix @ cur.base
-                q_left = g.matrix @ q_left
-            else:
-                g = build_right_rotation(cur)
-                nxt = cur.base @ g.matrix
-                q_right = q_right @ g.matrix
+            g = _build_rotation(cur, side, rec.sigma_a)
         except SingularBlockError as exc:
             raise PivotSingularError(trace, exc.sigma_min) from exc
+        g.apply(cur.base)
         # Exact annihilation of the targeted block, not just small residual.
         if side == "left":
-            nxt[k:, :k] = 0.0
+            cur.base[k:, :k] = 0.0
         else:
-            nxt[:k, k:] = 0.0
-        # Frobenius drift bounds the spectral drift, so this reorthogonalizes
-        # at least as often as a check on ||Q^T Q - I||_2 would.
-        if np.linalg.norm(q_left.T @ q_left - np.eye(m)) > REORTH_DRIFT * m:
-            q_left = _reorthogonalize(q_left)
-        if np.linalg.norm(q_right.T @ q_right - np.eye(n)) > REORTH_DRIFT * n:
-            q_right = _reorthogonalize(q_right)
-        cur = BlockPartition(nxt, k)
+            cur.base[:k, k:] = 0.0
+        rotations.append(g)
         t += 1
         trace.append_state(t, cur, degenerate=g.degenerate)
         rec = trace.records[-1]
         converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
-    return BlockDiagResult(a_inf=cur.a.copy(), d_inf=cur.d.copy(),
-                           q_left=q_left, q_right=q_right, trace=trace,
-                           converged=converged, iterations=t, final=cur.base)
+    return BlockDiagResult(a_inf=cur.a.copy(), d_inf=cur.d.copy(), trace=trace,
+                           converged=converged, iterations=t, final=cur.base,
+                           rotations=rotations)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ sigma_2 gap) pins this pairing down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matcore import BlockPartition, MatrixError, as_matrix, operator_norm, submatrix, svd
-
-RANK_TOL = 1e-12
+from .matcore import (RANK_TOL, BlockPartition, MatrixError, SVDFactors, as_matrix,
+                      numerical_rank, operator_norm, submatrix, svd)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,60 @@ class BoundReport:
                 "oracle": self.oracle, "slack": self.slack}
 
 
-def _sigma(m: np.ndarray, i: int) -> float:
-    """sigma_i (1-based); zero past the spectrum."""
-    s = np.linalg.svd(m, compute_uv=False)
+@dataclass(frozen=True)
+class SpectralPartition(BlockPartition):
+    """A BlockPartition that keeps the spectra the bound functions read,
+    each computed on first use: singular values and full SVD factors of R
+    and of R0, the spectra of B and C, and ||D||. Each bound function takes
+    one in place of a plain partition, so passing the same one to several
+    computes each spectrum once. It holds a read-only copy of the matrix,
+    so the spectra cannot go stale."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        base = self.base.copy()
+        base.flags.writeable = False
+        object.__setattr__(self, "base", base)
+
+    @cached_property
+    def r0(self) -> np.ndarray:
+        return self.zero_d()
+
+    @cached_property
+    def sigma_r(self) -> np.ndarray:
+        return np.linalg.svd(self.base, compute_uv=False)
+
+    @cached_property
+    def sigma_r0(self) -> np.ndarray:
+        return np.linalg.svd(self.r0, compute_uv=False)
+
+    @cached_property
+    def svd_r(self) -> SVDFactors:
+        return svd(self.base)
+
+    @cached_property
+    def svd_r0(self) -> SVDFactors:
+        return svd(self.r0)
+
+    @cached_property
+    def sigma_b(self) -> np.ndarray:
+        return np.linalg.svd(self.b, compute_uv=False)
+
+    @cached_property
+    def sigma_c(self) -> np.ndarray:
+        return np.linalg.svd(self.c, compute_uv=False)
+
+    @cached_property
+    def norm_d(self) -> float:
+        return operator_norm(self.d)
+
+
+def _spectral(p: BlockPartition) -> SpectralPartition:
+    return p if isinstance(p, SpectralPartition) else SpectralPartition(p.base, p.k)
+
+
+def _sigma(s: np.ndarray, i: int) -> float:
+    """sigma_i (1-based) of the spectrum s; zero past its end."""
     return float(s[i - 1]) if i <= s.size else 0.0
 
 
@@ -62,19 +113,18 @@ def weyl_gap_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
     First report: |sigma_{i+1}(R) - sigma_{i+1}(R0)| <= ||D||.
     Second: ||R - R0_i|| within 2||D|| of sigma_{i+1}(R), oracle-evaluated.
     """
-    r = p.base
-    r0 = p.zero_d()
-    nd = operator_norm(p.d)
-    tr = _sigma(r, i + 1)     # ||R - R_i||
-    tr0 = _sigma(r0, i + 1)   # ||R0 - R0_i||
+    p = _spectral(p)
+    nd = p.norm_d
+    tr = _sigma(p.sigma_r, i + 1)     # ||R - R_i||
+    tr0 = _sigma(p.sigma_r0, i + 1)   # ||R0 - R0_i||
     rep4 = BoundReport("Weyl-gap", i, p.k, lower=tr0 - nd, upper=tr0 + nd, oracle=tr)
     # Distance from R to the rank-i approximant of R0.
-    f = svd(r0)
-    s_tr = np.zeros_like(r0)
+    f = p.svd_r0
+    s_tr = np.zeros_like(p.r0)
     idx = np.arange(min(i, f.sigma.size))
     s_tr[idx, idx] = f.sigma[: i]
     r0i = f.q.T @ s_tr @ f.qp.T
-    cross = operator_norm(r - r0i)
+    cross = operator_norm(p.base - r0i)
     rep5 = BoundReport("Weyl-cross", i, p.k, lower=cross - 2 * nd,
                        upper=cross + 2 * nd, oracle=tr)
     return [rep4, rep5]
@@ -82,19 +132,18 @@ def weyl_gap_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
 
 def small_rank_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
     """Bounds exploiting rank(R0) <= 2k."""
-    r = p.base
-    r0 = p.zero_d()
-    nb, nc, nd = operator_norm(p.b), operator_norm(p.c), operator_norm(p.d)
-    off = min(nb, nc)
+    p = _spectral(p)
+    nd = p.norm_d
+    off = min(float(p.sigma_b[0]), float(p.sigma_c[0]))
     reports = [
         BoundReport("small-rank-R0", p.k, p.k, lower=0.0, upper=off,
-                    oracle=_sigma(r0, p.k + 1)),
+                    oracle=_sigma(p.sigma_r0, p.k + 1)),
         BoundReport("small-rank-R", p.k, p.k, lower=0.0, upper=off + nd,
-                    oracle=_sigma(r, p.k + 1)),
+                    oracle=_sigma(p.sigma_r, p.k + 1)),
     ]
     if i >= 2 * p.k:
         reports.append(BoundReport("rank-cap", i, p.k, lower=0.0, upper=nd,
-                                   oracle=_sigma(r, i + 1)))
+                                   oracle=_sigma(p.sigma_r, i + 1)))
     return reports
 
 
@@ -133,13 +182,12 @@ def mu_bounds(p: BlockPartition, i: int) -> tuple[MuQuantities, BoundReport]:
     """
     if not (1 <= i <= p.n):
         raise MatrixError(f"need 1 <= i <= n, got i={i}")
+    p = _spectral(p)
     m, n, k = p.m, p.n, p.k
-    d = p.d
-    r0 = p.zero_d()
-    mu_r, br = _mu_slice(svd(p.base), d, i, k, m, n)
-    mu_r0, br0 = _mu_slice(svd(r0), d, i, k, m, n)
+    mu_r, br = _mu_slice(p.svd_r, p.d, i, k, m, n)
+    mu_r0, br0 = _mu_slice(p.svd_r0, p.d, i, k, m, n)
     mq = MuQuantities(i=i, k=k, mu_r=mu_r, mu_r0=mu_r0, branch_r=br, branch_r0=br0)
-    gap = abs(_sigma(p.base, i) - _sigma(r0, i))
+    gap = abs(_sigma(p.sigma_r, i) - _sigma(p.sigma_r0, i))
     report = BoundReport("slice-mu", i, k, lower=0.0, upper=mq.mu_bar, oracle=gap)
     return mq, report
 
@@ -158,9 +206,8 @@ def kernel_restricted_norm(d, kmat) -> float:
     kmat = as_matrix(kmat)
     if d.shape[1] != kmat.shape[1]:
         raise MatrixError(f"columns of D ({d.shape[1]}) must match columns of K ({kmat.shape[1]})")
-    u, s, vt = np.linalg.svd(kmat)
-    cutoff = RANK_TOL * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.count_nonzero(s > cutoff))
+    _, s, vt = np.linalg.svd(kmat)
+    rank = numerical_rank(s)
     if rank >= kmat.shape[1]:
         return 0.0
     basis = vt[rank:].T
@@ -179,13 +226,6 @@ class Theorem2Inputs:
     rank_c: int
 
 
-def _numrank(m: np.ndarray) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0]))
-
-
 def theorem2_bounds(p: BlockPartition, rank_tol: float = RANK_TOL):
     """Block-Givens bounds on sigma_{k+1} of R0 and of R.
 
@@ -194,17 +234,18 @@ def theorem2_bounds(p: BlockPartition, rank_tol: float = RANK_TOL):
     the partition is square with n = m = 2k and invertible blocks, the
     symmetric two-term bound.
     """
+    p = _spectral(p)
     a, b, c, d = p.a, p.b, p.c, p.d
     sa = np.linalg.svd(a, compute_uv=False)
     if sa[-1] <= rank_tol * max(sa[0], 1.0):
         raise MatrixError(f"pivot block numerically singular (sigma_min={sa[-1]:.3e})")
     aib = np.linalg.solve(a, b)
     cai = np.linalg.solve(a.T, c.T).T
-    nb, nc, nd = operator_norm(b), operator_norm(c), operator_norm(d)
-    n_aib, n_cai = operator_norm(aib), operator_norm(cai)
-    rank_b, rank_c = _numrank(b), _numrank(c)
+    nb, nc, nd = float(p.sigma_b[0]), float(p.sigma_c[0]), p.norm_d
+    rank_b, rank_c = numerical_rank(p.sigma_b), numerical_rank(p.sigma_c)
     sig_aib = np.linalg.svd(aib, compute_uv=False)
     sig_cai = np.linalg.svd(cai, compute_uv=False)
+    n_aib, n_cai = float(sig_aib[0]), float(sig_cai[0])
     nu1 = 1.0 / np.sqrt(1.0 + float(sig_aib[rank_b - 1]) ** 2) if rank_b else 1.0
     nu2 = 1.0 / np.sqrt(1.0 + float(sig_cai[rank_c - 1]) ** 2) if rank_c else 1.0
     dker_b = kernel_restricted_norm(d, b)
@@ -219,20 +260,19 @@ def theorem2_bounds(p: BlockPartition, rank_tol: float = RANK_TOL):
     r0_min = min(branch_c, branch_b)
     r0_closed = nb * nc / np.sqrt(sa[-1] ** 2 + max(nb, nc) ** 2) if max(nb, nc) > 0 else 0.0
     r_bound = min(branch_c + rho2, branch_b + rho1)
-    r0 = p.zero_d()
     reports = [
-        BoundReport("Thm2-R0-min", p.k, p.k, 0.0, float(r0_min), oracle=_sigma(r0, p.k + 1)),
-        BoundReport("Thm2-R0-closed", p.k, p.k, 0.0, float(r0_closed), oracle=_sigma(r0, p.k + 1)),
-        BoundReport("Thm2-R", p.k, p.k, 0.0, float(r_bound), oracle=_sigma(p.base, p.k + 1)),
+        BoundReport("Thm2-R0-min", p.k, p.k, 0.0, float(r0_min), oracle=_sigma(p.sigma_r0, p.k + 1)),
+        BoundReport("Thm2-R0-closed", p.k, p.k, 0.0, float(r0_closed), oracle=_sigma(p.sigma_r0, p.k + 1)),
+        BoundReport("Thm2-R", p.k, p.k, 0.0, float(r_bound), oracle=_sigma(p.sigma_r, p.k + 1)),
     ]
     k = p.k
     if p.m == p.n == 2 * k and rank_b == k and rank_c == k:
-        na = operator_norm(a)
+        na = float(sa[0])
         sk_a = float(sa[-1])
-        sk_b = float(np.linalg.svd(b, compute_uv=False)[-1])
-        sk_c = float(np.linalg.svd(c, compute_uv=False)[-1])
+        sk_b = float(p.sigma_b[-1])
+        sk_c = float(p.sigma_c[-1])
         term_b = nb * nc / np.sqrt(sk_a**2 + nb**2) + na * nd / np.sqrt(na**2 + sk_b**2)
         term_c = nb * nc / np.sqrt(sk_a**2 + nc**2) + na * nd / np.sqrt(na**2 + sk_c**2)
         reports.append(BoundReport("Cor5", k, k, 0.0, float(min(term_b, term_c)),
-                                   oracle=_sigma(p.base, k + 1)))
+                                   oracle=_sigma(p.sigma_r, k + 1)))
     return inputs, reports

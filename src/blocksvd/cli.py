@@ -56,7 +56,8 @@ def _cmd_blockdiag(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    p = _load_partition(args.matrix, args.k)
+    # One SpectralPartition for all four families: each spectrum once.
+    p = bn.SpectralPartition(mmio.read_matrix(args.matrix), args.k)
     i = args.i if args.i is not None else args.k
     reports = []
     reports.extend(bn.weyl_gap_bounds(p, i))

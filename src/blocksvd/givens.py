@@ -2,23 +2,25 @@
 
 A right rotation built from the partition (A, B) annihilates the top-right
 block of R when applied on the right; the left counterpart, built from
-(A, C), annihilates the bottom-left block when applied on the left. All trig
-blocks are assembled from the SVD of A^{-1}B (resp. C A^{-1}) so the
-constructed matrix is orthogonal to machine precision regardless of the
-conditioning of A.
+(A, C), annihilates the bottom-left block when applied on the left. Every
+trig block comes from one primitive, the thin SVD U diag(sigma) V^T of
+A^{-1}B (resp. A^{-T}C^T): cos = I - U diag(1 - c) U^T on the k-side,
+I - V diag(1 - c) V^T on the other, sin = U diag(s) V^T, with
+c = (1 + sigma^2)^(-1/2), s = sigma c and 1 - c = s^2 / (1 + c), which has
+no cancellation. The constructed rotation is orthogonal to machine
+precision regardless of the conditioning of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .matcore import BlockPartition, MatrixError, as_matrix, operator_norm
+from .matcore import BlockPartition, MatrixError, as_matrix, numerical_rank, operator_norm
 
 SINGULARITY_TOL = 1e-13  # relative floor on sigma_min(A)
-RANK_TOL = 1e-12         # relative numerical-rank threshold
 
 
 class SingularBlockError(MatrixError):
@@ -49,20 +51,51 @@ class BlockTrig:
 
 @dataclass(frozen=True)
 class BlockGivens:
-    """An orthogonal rotation with a designated split.
+    """An orthogonal rotation with a designated split, kept in thin form.
 
     ``side`` is "right" (acts on columns, annihilates B) or "left" (acts on
-    rows, annihilates C). ``ratio_sigma`` holds the singular values of
-    A^{-1}B or C A^{-1}. ``degenerate`` marks an identity rotation (the
-    off-block was already zero).
+    rows, annihilates C); ``dim`` is its order. ``u`` (k x r), ``v``
+    ((dim-k) x r) and ``ratio_sigma`` are the thin SVD of A^{-1}B (right)
+    or A^{-T}C^T (left), r = min(k, dim - k); ``apply`` rotates through
+    them in O(r) work per entry. ``off_block`` is the off-block the
+    rotation annihilates, as it was. ``degenerate`` marks an identity
+    rotation (the off-block was already zero).
+
+    ``matrix``, the dense dim x dim rotation, and ``off_rank``, the
+    numerical rank of ``off_block``, are computed on first access.
     """
 
-    matrix: np.ndarray
     side: str
     k: int
+    dim: int
+    u: np.ndarray
+    v: np.ndarray
     ratio_sigma: np.ndarray
-    off_rank: int
+    off_block: np.ndarray
     degenerate: bool
+
+    def apply(self, x: np.ndarray) -> None:
+        """Overwrite x with G @ x (left) or x @ G (right)."""
+        if self.degenerate:
+            return
+        if self.side == "left":
+            # G_L @ x = (x^T @ G_L^T)^T, and G_L^T has a right rotation's form.
+            x = x.T
+        _, s, omc = _trig(self.ratio_sigma)
+        head, tail = x[:, : self.k], x[:, self.k :]
+        hu, tv = head @ self.u, tail @ self.v
+        head += (tv * s - hu * omc) @ self.u.T
+        tail -= (hu * s + tv * omc) @ self.v.T
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        g = np.eye(self.dim)
+        self.apply(g)
+        return g
+
+    @cached_property
+    def off_rank(self) -> int:
+        return numerical_rank(np.linalg.svd(self.off_block, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -97,12 +130,23 @@ class BlockRotationFactors:
         return left @ self.middle @ right
 
 
-def _solve_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A^{-1} b with a singularity check on A."""
-    sa = np.linalg.svd(a, compute_uv=False)
-    if sa[-1] <= SINGULARITY_TOL * max(sa[0], 1.0):
-        raise SingularBlockError(float(sa[-1]))
-    return np.linalg.solve(a, b)
+def _check_pivot(sigma_a: np.ndarray) -> None:
+    """Raise SingularBlockError unless sigma(A), descending, clears the floor."""
+    if sigma_a[-1] <= SINGULARITY_TOL * max(sigma_a[0], 1.0):
+        raise SingularBlockError(float(sigma_a[-1]))
+
+
+def _ratio_svd(a: np.ndarray, b: np.ndarray):
+    """Thin SVD (u, sigma, v) of A^{-1} b: u @ diag(sigma) @ v.T."""
+    u, sig, vt = np.linalg.svd(np.linalg.solve(a, b), full_matrices=False)
+    return u, sig, vt.T
+
+
+def _trig(sig: np.ndarray):
+    """(cos, sin, 1 - cos) for ratio singular values sig."""
+    c = 1.0 / np.sqrt(1.0 + sig**2)
+    s = sig * c
+    return c, s, s * s / (1.0 + c)
 
 
 def block_trig(a, b) -> BlockTrig:
@@ -114,74 +158,44 @@ def block_trig(a, b) -> BlockTrig:
         raise MatrixError(f"A must be square, got {a.shape}")
     if b.shape[0] != k:
         raise MatrixError(f"B must have {k} rows, got {b.shape}")
-    w = _solve_ratio(a, b)
-    nk = b.shape[1]
-    u, sig, vt = np.linalg.svd(w, full_matrices=True)
-    r = min(k, nk)
-    # Diagonal trig values: exact elementwise formulas, no cancellation.
-    cd = 1.0 / np.sqrt(1.0 + sig**2)
-    sd = sig * cd
-    ck = np.ones(k)
-    ck[:r] = cd
-    cnk = np.ones(nk)
-    cnk[:r] = cd
-    smat = np.zeros((k, nk))
-    smat[np.arange(r), np.arange(r)] = sd
-    cos_ab = (u * ck) @ u.T
-    cos_ba = (vt.T * cnk) @ vt
-    sin_ab = u @ smat @ vt
-    b0d = np.zeros(k)
-    b0d[:r] = sig
-    b0 = (u * b0d) @ u.T
-    pmat = np.zeros((k, nk))
-    pmat[np.arange(r), np.arange(r)] = 1.0
-    q_b = u @ pmat @ vt
-    return BlockTrig(cos_ab=cos_ab, cos_ba=cos_ba, sin_ab=sin_ab, b0=b0, q_b=q_b,
+    _check_pivot(np.linalg.svd(a, compute_uv=False))
+    u, sig, v = _ratio_svd(a, b)
+    _, s, omc = _trig(sig)
+    return BlockTrig(cos_ab=np.eye(k) - (u * omc) @ u.T,
+                     cos_ba=np.eye(b.shape[1]) - (v * omc) @ v.T,
+                     sin_ab=(u * s) @ v.T, b0=(u * sig) @ u.T, q_b=u @ v.T,
                      ratio_sigma=sig)
 
 
-def _numrank(sigma: np.ndarray) -> int:
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
+def _build_rotation(p: BlockPartition, side: str, sigma_a=None) -> BlockGivens:
+    """Rotation of ``side`` for p. The singularity test on A uses sigma_a,
+    the spectrum of p.a when the caller has it, and runs only when the
+    off-block is nonzero."""
+    k = p.k
+    if side == "right":
+        a, off, off_block, dim = p.a, p.b, p.b, p.n
+    else:
+        # (C A^{-1})^T = A^{-T} C^T: the transposed pair (A^T, C^T).
+        a, off, off_block, dim = p.a.T, p.c.T, p.c, p.m
+    if not off.any():
+        r = min(k, dim - k)
+        return BlockGivens(side=side, k=k, dim=dim, u=np.zeros((k, r)),
+                           v=np.zeros((dim - k, r)), ratio_sigma=np.zeros(r),
+                           off_block=off_block.copy(), degenerate=True)
+    _check_pivot(np.linalg.svd(a, compute_uv=False) if sigma_a is None else sigma_a)
+    u, sig, v = _ratio_svd(a, off)
+    return BlockGivens(side=side, k=k, dim=dim, u=u, v=v, ratio_sigma=sig,
+                       off_block=off_block.copy(), degenerate=False)
 
 
 def build_right_rotation(p: BlockPartition) -> BlockGivens:
     """n x n rotation G_R with (R @ G_R)[:k, k:] = 0."""
-    n, k = p.n, p.k
-    if operator_norm(p.b) == 0.0:
-        return BlockGivens(matrix=np.eye(n), side="right", k=k,
-                           ratio_sigma=np.zeros(min(k, n - k)), off_rank=0,
-                           degenerate=True)
-    t = block_trig(p.a, p.b)
-    g = np.empty((n, n))
-    g[:k, :k] = t.cos_ab
-    g[:k, k:] = -t.sin_ab
-    g[k:, :k] = t.sin_ab.T
-    g[k:, k:] = t.cos_ba
-    return BlockGivens(matrix=g, side="right", k=k, ratio_sigma=t.ratio_sigma,
-                       off_rank=_numrank(np.linalg.svd(p.b, compute_uv=False)),
-                       degenerate=False)
+    return _build_rotation(p, "right")
 
 
 def build_left_rotation(p: BlockPartition) -> BlockGivens:
     """m x m rotation G_L with (G_L @ R)[k:, :k] = 0."""
-    m, k = p.m, p.k
-    if operator_norm(p.c) == 0.0:
-        return BlockGivens(matrix=np.eye(m), side="left", k=k,
-                           ratio_sigma=np.zeros(min(k, m - k)), off_rank=0,
-                           degenerate=True)
-    # (C A^{-1})^T = A^{-T} C^T, so the left rotation's blocks come from the
-    # transposed pair (A^T, C^T).
-    t = block_trig(p.a.T, p.c.T)
-    g = np.empty((m, m))
-    g[:k, :k] = t.cos_ab
-    g[:k, k:] = t.sin_ab
-    g[k:, :k] = -t.sin_ab.T
-    g[k:, k:] = t.cos_ba
-    return BlockGivens(matrix=g, side="left", k=k, ratio_sigma=t.ratio_sigma,
-                       off_rank=_numrank(np.linalg.svd(p.c, compute_uv=False)),
-                       degenerate=False)
+    return _build_rotation(p, "left")
 
 
 def householder_block(a: float, v) -> np.ndarray:
@@ -246,6 +260,7 @@ def block_rotation_decompose(q, k: int, orth_tol: float = 1e-10,
     dev = operator_norm(q.T @ q - np.eye(n))
     if dev > orth_tol * n:
         raise MatrixError(f"input is not orthogonal within tolerance (deviation {dev:.3e})")
+    import scipy.linalg  # imported here: slow to load, and only this function uses it
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(q, p=k, q=k, separate=True)
     # theta holds min(k, n-k) angles in [0, pi/2]; angles ~0 are trivial
     # identity directions. The middle factor is recovered by sandwiching,

@@ -16,6 +16,7 @@ import numpy as np
 ORTH_TOL = 1e-12     # orthogonality: ||Q^T Q - I|| <= ORTH_TOL * dim
 RECON_TOL = 1e-10    # reconstruction: ||Q M Q' - diag(sigma)|| <= RECON_TOL * dim * ||M||
 SYM_TOL = 1e-10      # symmetry rejection threshold for psd_apply
+RANK_TOL = 1e-12     # numerical rank: singular values above RANK_TOL * sigma_1
 
 
 class MatrixError(ValueError):
@@ -139,6 +140,14 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def numerical_rank(sigma) -> int:
+    """Count of singular values above RANK_TOL * sigma_1, from a descending
+    spectrum; 0 for an empty or all-zero one."""
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
 
 
 def schur_test_bound(m) -> float:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .bounds import BoundReport
 from .matcore import MatrixError
@@ -571,6 +570,8 @@ class GammaSpec:
 
     def truncated_mass(self) -> float:
         """P(T >= a) under the untruncated gamma law."""
+        from scipy import stats as sp_stats  # imported here: slow to load, and only this method uses it
+
         return float(sp_stats.gamma.sf(self.a, self.alpha, scale=1.0 / self.beta))
 
 

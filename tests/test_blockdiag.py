@@ -3,6 +3,7 @@ import pytest
 
 from blocksvd import matcore as mc
 from blocksvd import blockdiag as bd
+from blocksvd import givens as gv
 
 RNG = np.random.default_rng(20260826)
 
@@ -186,3 +187,131 @@ class TestKyFanColumnBounds:
             rep = bd.kyfan_column_bounds(y, i)
             assert rep.head_margin >= -1e-10
             assert rep.tail_margin >= -1e-10
+
+
+# Reference sweep: every rotation as a dense m x m or n x n product, built
+# from the full SVD of the ratio, and every trace field from its own SVD.
+# block_diagonalize must follow it step for step.
+
+def _dense_rotation(p, side):
+    k = p.k
+    if side == "right":
+        a, off, dim, sign = p.a, p.b, p.n, -1.0
+    else:
+        a, off, dim, sign = p.a.T, p.c.T, p.m, 1.0
+    if mc.operator_norm(off) == 0.0:
+        return np.eye(dim), True
+    sa = np.linalg.svd(a, compute_uv=False)
+    if sa[-1] <= gv.SINGULARITY_TOL * max(sa[0], 1.0):
+        raise gv.SingularBlockError(float(sa[-1]))
+    u, sig, vt = np.linalg.svd(np.linalg.solve(a, off), full_matrices=True)
+    r = min(k, dim - k)
+    cd = 1.0 / np.sqrt(1.0 + sig**2)
+    ck, cnk = np.ones(k), np.ones(dim - k)
+    ck[:r] = cnk[:r] = cd
+    smat = np.zeros((k, dim - k))
+    smat[np.arange(r), np.arange(r)] = sig * cd
+    sin_ab = u @ smat @ vt
+    g = np.empty((dim, dim))
+    g[:k, :k] = (u * ck) @ u.T
+    g[:k, k:] = sign * sin_ab
+    g[k:, :k] = -sign * sin_ab.T
+    g[k:, k:] = (vt.T * cnk) @ vt
+    return g, False
+
+
+def _dense_record(t, p, degenerate=False):
+    sa = np.linalg.svd(p.a, compute_uv=False)
+    return bd.SweepRecord(
+        t=t, norm_a=mc.operator_norm(p.a), sigma_a=sa, sigma_k_a=float(sa[-1]),
+        norm_b=mc.operator_norm(p.b), norm_c=mc.operator_norm(p.c),
+        norm_d=mc.operator_norm(p.d),
+        sigma_left_band=np.linalg.svd(p.left_band(), compute_uv=False),
+        norm_right_band=mc.operator_norm(p.right_band()), degenerate=degenerate)
+
+
+def dense_block_diagonalize(p, tol=bd.DEFAULT_TOL, max_iter=bd.DEFAULT_MAX_ITER, first="left"):
+    """(trace, converged, iterations, final) of the dense reference sweep."""
+    k = p.k
+    scale = mc.operator_norm(p.base)
+    trace = bd.SweepTrace(k=k, records=[_dense_record(0, p)])
+    cur = p
+    rec = trace.records[0]
+    converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
+    t = 0
+    while not converged and t < max_iter:
+        side = ("left", "right")[t % 2] if first == "left" else ("right", "left")[t % 2]
+        try:
+            g, degenerate = _dense_rotation(cur, side)
+        except gv.SingularBlockError as exc:
+            raise bd.PivotSingularError(trace, exc.sigma_min) from exc
+        if side == "left":
+            nxt = g @ cur.base
+            nxt[k:, :k] = 0.0
+        else:
+            nxt = cur.base @ g
+            nxt[:k, k:] = 0.0
+        cur = mc.BlockPartition(nxt, k)
+        t += 1
+        trace.records.append(_dense_record(t, cur, degenerate))
+        rec = trace.records[-1]
+        converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
+    return trace, converged, t, cur.base
+
+
+def _differential_cases():
+    rng = np.random.default_rng(11)
+
+    def planted(m, n, k, scale_left=10.0):
+        r = np.abs(rng.standard_normal((m, n))) * (rng.random((m, n)) < 0.6)
+        r[:, :k] *= scale_left
+        r[np.arange(k), np.arange(k)] += 1.0  # nonsingular pivot
+        return r
+
+    tall = rng.standard_normal((40, 12))
+    tall[:, :4] *= 4.0
+    zero_c = planted(30, 20, 6)
+    zero_c[6:, :6] = 0.0
+    return [
+        pytest.param(mc.BlockPartition(tall, 4), "left", id="tall"),
+        pytest.param(mc.BlockPartition(planted(80, 80, 40), 40), "left", id="square-80-k40"),
+        pytest.param(mc.BlockPartition(planted(20, 10, 7), 7), "left", id="k-above-n-minus-k"),
+        pytest.param(mc.BlockPartition(planted(30, 18, 5), 5), "right", id="first-right"),
+        pytest.param(mc.BlockPartition(zero_c, 6), "left", id="zero-off-block"),
+    ]
+
+
+class TestMatchesDenseReference:
+    @pytest.mark.parametrize("p,first", _differential_cases())
+    def test_same_sweeps(self, p, first):
+        trace, converged, iterations, final = dense_block_diagonalize(p, first=first)
+        res = bd.block_diagonalize(p, first=first)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        got, want = res.trace.records, trace.records
+        assert [r.degenerate for r in got] == [r.degenerate for r in want]
+        assert ([c.passed for c in bd.check_lemma11(res.trace).checks]
+                == [c.passed for c in bd.check_lemma11(trace).checks])
+        tol = 1e-12 * mc.operator_norm(p.base)
+        for g, w in zip(got, want):
+            for name in ("norm_a", "sigma_a", "sigma_k_a", "norm_b", "norm_c", "norm_d",
+                         "sigma_left_band", "norm_right_band"):
+                dev = np.max(np.abs(np.asarray(getattr(g, name)) - getattr(w, name)))
+                assert dev <= tol, (g.t, name, dev)
+        assert mc.operator_norm(res.final - final) <= 1e-10 * mc.operator_norm(p.base)
+        recon = res.q_left @ p.base @ res.q_right
+        assert mc.operator_norm(recon - res.final) <= 1e-10 * mc.operator_norm(p.base)
+
+    def test_singular_pivot_raises_at_same_sweep(self):
+        # C = 0 makes the first (left) step an identity, so the singular
+        # pivot is only met by the right step that follows it
+        rng = np.random.default_rng(12)
+        r = rng.standard_normal((12, 8))
+        r[3:, :3] = 0.0
+        r[1, :3] = 0.0
+        p = mc.BlockPartition(r, 3)
+        with pytest.raises(bd.PivotSingularError) as want:
+            dense_block_diagonalize(p)
+        with pytest.raises(bd.PivotSingularError) as got:
+            bd.block_diagonalize(p)
+        assert len(got.value.trace.records) == len(want.value.trace.records) == 2
+        assert got.value.trace.records[1].degenerate

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from blocksvd import cli, mmio
 from blocksvd import matcore as mc
 from blocksvd import bounds as bo
 
@@ -191,3 +194,38 @@ def test_report_json_round():
     d = rep.to_json()
     assert set(d) == {"formula", "i", "k", "lower", "upper", "oracle", "slack"}
     assert d["slack"] == rep.slack
+
+
+class TestBoundsCommandSpectra:
+    # (m, n, k, i): a tall case with the rank-cap report (i >= 2k), and a
+    # square n = m = 2k case with the Cor5 report
+    @pytest.mark.parametrize("m,n,k,i", [(30, 12, 4, 8), (8, 8, 4, 2)])
+    def test_each_spectrum_once_and_reports_unchanged(self, tmp_path, monkeypatch, m, n, k, i):
+        rng = np.random.default_rng(m * n + k)
+        path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
+        mmio.write_matrix(path, rng.standard_normal((m, n)) + 3.0 * np.eye(m, n))
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape == (m, n):  # R or R0, told apart by their D block
+                calls.append((kwargs.get("compute_uv", True), bool(a[k:, k:].any())))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        code = cli.main(["bounds", str(path), "--k", str(k), "--i", str(i), "-o", str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        # values of R, values of R0, full SVD of R, full SVD of R0
+        for kind in ((False, True), (False, False), (True, True), (True, False)):
+            assert calls.count(kind) == 1, calls
+
+        rep = json.loads(out.read_text())
+        p = mc.BlockPartition(mmio.read_matrix(path), k)
+        mq, mu_rep = bo.mu_bounds(p, i)
+        alone = (bo.weyl_gap_bounds(p, i) + bo.small_rank_bounds(p, i) + [mu_rep]
+                 + bo.theorem2_bounds(p)[1])
+        assert rep["reports"] == [json.loads(json.dumps(r.to_json())) for r in alone]
+        assert rep["mu_bar"] == mq.mu_bar
+        assert {r["formula"] for r in rep["reports"]} >= ({"rank-cap"} if i >= 2 * k else {"Cor5"})

@@ -101,3 +101,21 @@ class TestDeterminism:
         run(["verify", "bounds", "--seed", 3, "--trials", 10, "-o", o1])
         run(["verify", "bounds", "--seed", 3, "--trials", 10, "-o", o2])
         assert o1.read_bytes() == o2.read_bytes()
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.stats and scipy.linalg take most of a fresh import's time; no
+    # CLI command needs them before a verify suite or a sampler does
+    import os
+    import subprocess
+    import sys
+
+    import blocksvd
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blocksvd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, blocksvd.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

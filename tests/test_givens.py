@@ -229,3 +229,20 @@ def test_stacked_selection_norm_bound():
             continue
         p = np.column_stack(cols)
         assert mc.operator_norm(p) <= max(mc.operator_norm(x), mc.operator_norm(y)) + 1e-12
+
+
+def test_off_rank_counts_the_off_block():
+    # rank-one B and C: off_rank is their numerical rank, not the number
+    # of singular values of the ratio
+    rng = np.random.default_rng(5)
+    k = 3
+    r = rng.standard_normal((8, 6))
+    r[:k, k:] = np.outer(rng.standard_normal(k), rng.standard_normal(3))
+    r[k:, :k] = np.outer(rng.standard_normal(5), rng.standard_normal(k))
+    p = mc.BlockPartition(r + 5.0 * np.eye(8, 6), k)
+    for g in (gv.build_right_rotation(p), gv.build_left_rotation(p)):
+        assert g.ratio_sigma.size == k
+        assert g.off_rank == 1
+        s_1 = g.ratio_sigma[0]
+        assert gv.rotation_weight(g) == pytest.approx(
+            max(1.0, s_1) / np.sqrt(1.0 + s_1**2), rel=1e-14)
