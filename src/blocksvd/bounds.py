@@ -226,7 +226,7 @@ class Theorem2Inputs:
     rank_c: int
 
 
-def theorem2_bounds(p: BlockPartition, rank_tol: float = RANK_TOL):
+def theorem2_bounds(p: BlockPartition):
     """Block-Givens bounds on sigma_{k+1} of R0 and of R.
 
     Returns (inputs, reports) where reports carry the min-form bound and the
@@ -237,7 +237,7 @@ def theorem2_bounds(p: BlockPartition, rank_tol: float = RANK_TOL):
     p = _spectral(p)
     a, b, c, d = p.a, p.b, p.c, p.d
     sa = np.linalg.svd(a, compute_uv=False)
-    if sa[-1] <= rank_tol * max(sa[0], 1.0):
+    if sa[-1] <= RANK_TOL * max(sa[0], 1.0):
         raise MatrixError(f"pivot block numerically singular (sigma_min={sa[-1]:.3e})")
     aib = np.linalg.solve(a, b)
     cai = np.linalg.solve(a.T, c.T).T

@@ -85,7 +85,7 @@ def _cmd_approx(args) -> int:
     report = pl.algorithm2(r, k=args.k, i=args.i, oracle=args.oracle)
     _emit(report.to_json(), args.output)
     if args.oracle:
-        tol = report.error_bound + 1e-9 * float(np.linalg.norm(r, 2))
+        tol = report.error_bound + 1e-9 * float(report.oracle_values[0])  # ||R||_2
         return 0 if float(report.oracle_deviations.max()) <= tol else 1
     return 0
 

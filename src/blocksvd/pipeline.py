@@ -13,6 +13,13 @@ QR of each factor, then one SVD of the 2k x 2k core (Halko, Martinsson and
 Tropp, arXiv:0909.4061, section 5). The block-rotation sweeps of
 ``blockdiag.top_singular_values`` reach the same values and stay as the
 reference that ``verify pipeline`` checks this path against.
+
+Nothing here inverts the pivot A, so the driver solves the requested split
+whatever A is. R - R0 is D padded with zeros, so by Weyl's inequality
+|sigma_j(R) - sigma_j(R0)| <= ||D||: the reported 2 * ||D|| bounds
+|sigma_j(R) - values_j| for any A, up to the solve's rounding. When the gap
+certificate sigma_i([A; C]) >= ||B|| holds, interlacing gives
+sigma_i(R0) >= ||B|| >= sigma_{k+1}(R0).
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .blockdiag import GapCertificate, gap_certificate
 from .matcore import BlockPartition, MatrixError, as_matrix, operator_norm
 from .randmat import moment_ratio
 
-MIN_PIVOT_FACTOR = 1e-10    # sigma_k(A) >= this * ||R|| for a usable split
 DENSE_LIMIT = 2000          # larger column counts are rejected
 
 
@@ -129,7 +135,7 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
 
 
 class PipelineError(RuntimeError):
-    """Approximation run failed; carries diagnostics."""
+    """Approximation refused (only past ``DENSE_LIMIT``); carries diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -140,16 +146,16 @@ class PipelineError(RuntimeError):
 class ApproxReport:
     """Certified top singular values after dropping the bottom-right block.
 
-    ``values`` are the top singular values of R0, solved from its rank-<=2k
-    factors with no iteration, so ``iterations`` is always 0 and
-    ``converged`` always True; both fields are kept so the report reads the
-    same as one from the block-rotation reference path.
+    ``values`` are the top singular values of R0, from its rank-<=2k factors
+    with no iteration. ``k`` is always the requested split, ``warnings``
+    empty, ``iterations`` 0 and ``converged`` True; these fields keep the
+    report in the same schema as one from the block-rotation reference path.
     """
 
     rank: int
     k: int
     values: np.ndarray
-    error_bound: float          # 2 * ||D||
+    error_bound: float          # 2 * ||D||, for any pivot A
     norm_d: float
     certificate: GapCertificate
     converged: bool
@@ -176,49 +182,26 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     Zeroes the bottom-right block D of the (k, k) partition, solves the
     remainder R0 = X Y^T from thin QR factors of X and Y and one SVD of the
     2k x 2k core, and reports its leading values together with the bound
-    2 * ||D||. A split whose pivot is numerically singular is shrunk with a
-    warning; ``oracle`` adds a direct SVD comparison to the report.
+    2 * ||D||, which holds for any pivot A, singular or not: the split is
+    never changed. ``oracle`` adds a direct SVD comparison to the report.
     """
     r = as_matrix(r)
     m, n = r.shape
     if n > DENSE_LIMIT:
         raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {n}")
-    # ||R||_2 <= ||R||_F, so a pivot that clears the threshold scaled by the
-    # Frobenius norm (padded past rounding) clears the spectral one too; the
-    # exact ||R||_2 is computed only for a pivot below it.
-    norm_upper = (1.0 + 1e-6) * np.linalg.norm(r)
-    norm_r = None
-    warnings: list[str] = []
-    kk = k
-    while kk > i:
-        sigma_pivot = np.linalg.svd(r[:kk, :kk], compute_uv=False)[-1]
-        if sigma_pivot >= MIN_PIVOT_FACTOR * norm_upper:
-            break
-        if norm_r is None:
-            norm_r = operator_norm(r)
-        if sigma_pivot >= MIN_PIVOT_FACTOR * norm_r:
-            break
-        kk -= 1
-    if kk != k:
-        if kk <= i or np.linalg.svd(r[:kk, :kk], compute_uv=False)[-1] < MIN_PIVOT_FACTOR * norm_r:
-            raise PipelineError(
-                f"no split in [{i}, {k}] gives a numerically invertible pivot",
-                {"k_requested": k, "rank_requested": i})
-        warnings.append(f"pivot singular at k={k}; shrunk to k={kk}")
-    p = BlockPartition(r, kk)
+    p = BlockPartition(r, k)
     norm_d = operator_norm(p.d)
-    cert = gap_certificate(BlockPartition(p.zero_d(), kk), i)
+    cert = gap_certificate(BlockPartition(p.zero_d(), k), i)
     # R0 = X Y^T with X = [[A, I], [C, 0]] and Y^T = [[I, 0], [0, B]].
-    x = np.hstack([p.left_band(), np.eye(m, kk)])
-    yt = np.zeros((2 * kk, n))
-    yt[:kk, :kk] = np.eye(kk)
-    yt[kk:, kk:] = p.b
+    x = np.hstack([p.left_band(), np.eye(m, k)])
+    yt = np.zeros((2 * k, n))
+    yt[:k, :k] = np.eye(k)
+    yt[k:, k:] = p.b
     core = np.linalg.qr(x, mode="r") @ np.linalg.qr(yt.T, mode="r").T
     values = np.linalg.svd(core, compute_uv=False)[:i]
-    report = ApproxReport(rank=i, k=kk, values=values,
+    report = ApproxReport(rank=i, k=k, values=values,
                           error_bound=2.0 * norm_d, norm_d=norm_d,
-                          certificate=cert, converged=True,
-                          iterations=0, warnings=warnings)
+                          certificate=cert, converged=True, iterations=0)
     if oracle:
         true = np.linalg.svd(r, compute_uv=False)[:i]
         report.oracle_values = true

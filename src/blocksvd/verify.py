@@ -20,6 +20,7 @@ from . import randmat as rm
 
 SUITES = ("matcore", "givens", "blockdiag", "bounds", "theorem3",
           "corollaries", "gamma", "pipeline")
+PIVOT_FLOOR = 1e-3     # least sigma_min(A) of a random partition
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,14 @@ class VerifyReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def _random_partition(rng: np.random.Generator, m=None, n=None, k=None,
-                      cond_floor: float = 1e-3) -> mc.BlockPartition:
+def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
     """Random partition with a non-degenerate pivot block."""
-    m = m or int(rng.integers(4, 12))
-    n = n or int(rng.integers(3, m + 1))
-    k = k or int(rng.integers(1, n))
+    m = int(rng.integers(4, 12))
+    n = int(rng.integers(3, m + 1))
+    k = int(rng.integers(1, n))
     while True:
         r = rng.standard_normal((m, n))
-        if np.linalg.svd(r[:k, :k], compute_uv=False)[-1] >= cond_floor:
+        if np.linalg.svd(r[:k, :k], compute_uv=False)[-1] >= PIVOT_FLOOR:
             return mc.BlockPartition(r, k)
 
 
@@ -261,8 +261,9 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
     ident = (np.array_equal(plan2.column_permutation, np.arange(12))
              and np.array_equal(plan2.row_permutation, np.arange(30)))
     rep.add("planner_idempotent", 0.0 if ident else -1.0)
+    runs = max(trials // 100, 3)
     worst = worst_match = np.inf
-    for _ in range(max(trials // 100, 3)):
+    for _ in range(runs):
         r = rng.standard_normal((60, 24))
         r[:, :8] *= 5.0
         r[8:, 8:] *= 0.01
@@ -276,6 +277,21 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
                           - float(np.abs(report.values - rotations).max()))
     rep.add("certified_error_sound", worst)
     rep.add("direct_matches_rotations", worst_match)
+    # The README's recipe at 5% density, kept where the 20x20 pivot is singular.
+    rng = rm.stream(seed, 7)
+    worst, found = np.inf, 0
+    while found < runs:
+        r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.05)
+        r[:, :20] *= 10.0
+        pr = pl.plan_partition(r, k=20).apply(r)
+        if mc.numerical_rank(np.linalg.svd(pr[:20, :20], compute_uv=False)) == 20:
+            continue
+        found += 1
+        report = pl.algorithm2(pr, k=20, i=5, oracle=True)
+        margin = (report.error_bound + 1e-9 * float(report.oracle_values[0])
+                  - float(report.oracle_deviations.max()))
+        worst = min(worst, margin if report.k == 20 else -1.0)
+    rep.add("singular_pivot_sound", worst)
     return rep
 
 

@@ -144,12 +144,6 @@ class TestAlgorithm2:
         with pytest.raises(pl.PipelineError):
             pl.algorithm2(np.ones((3, 2001)), k=2, i=1)
 
-    def test_infeasible_split_rejected(self):
-        r = np.zeros((6, 6))
-        r[3:, 3:] = np.eye(3)
-        with pytest.raises(pl.PipelineError):
-            pl.algorithm2(r, k=3, i=2)
-
     def test_report_json(self):
         rng = np.random.default_rng(15)
         r = planted_low_rank(20, 15, 4, 0.01, rng)
@@ -160,8 +154,15 @@ class TestAlgorithm2:
                 "oracle_values", "oracle_deviations"} <= set(d)
 
 
-def shrinking_pivot():
-    """k=6 pivot with an empty row, so the split must shrink to k=5."""
+def zero_pivot():
+    """Only D is nonzero: at k=3, A, B and C are all zero."""
+    r = np.zeros((6, 6))
+    r[3:, 3:] = np.eye(3)
+    return r
+
+
+def empty_row_pivot():
+    """k=6 pivot with an empty row, so A is singular."""
     r = planted_low_rank(30, 20, 5, 0.01, np.random.default_rng(17))
     r[5, :6] = 0.0
     return r
@@ -177,8 +178,6 @@ class TestDirectMatchesRotations:
          40, 5, 40, []),
         ("tall_2k_ge_n", planted_low_rank(30, 20, 12, 0.01, np.random.default_rng(19)),
          12, 4, 12, []),
-        ("pivot_shrinks", shrinking_pivot(), 6, 3, 5,
-         ["pivot singular at k=6; shrunk to k=5"]),
         ("zero_d", planted_low_rank(30, 20, 5, 0.0, np.random.default_rng(20)),
          5, 5, 5, []),
     ])
@@ -195,3 +194,26 @@ class TestDirectMatchesRotations:
         assert rep.error_bound == 2.0 * operator_norm(p.d)
         np.testing.assert_allclose(rep.values, values, rtol=0.0,
                                    atol=1e-10 * np.linalg.norm(r, 2))
+
+
+class TestSingularPivot:
+    """A singular pivot is solved at the requested split. The rotations need
+    an invertible pivot, so sigma(R0) comes from a dense SVD here."""
+
+    @pytest.mark.parametrize("name, r, k, i", [
+        ("zero_pivot", zero_pivot(), 3, 2),
+        ("empty_pivot_row", empty_row_pivot(), 6, 3),
+    ])
+    def test_solved_at_requested_k(self, name, r, k, i):
+        rep = pl.algorithm2(r, k=k, i=i, oracle=True)
+        assert rep.k == k
+        assert rep.warnings == []
+        norm_r = np.linalg.norm(r, 2)
+        p = BlockPartition(r, k)
+        assert np.linalg.svd(p.a, compute_uv=False)[-1] <= 1e-12 * norm_r
+        assert rep.error_bound == 2.0 * operator_norm(p.d)
+        assert float(rep.oracle_deviations.max()) <= rep.error_bound + 1e-9 * norm_r
+        r0 = p.zero_d()
+        np.testing.assert_allclose(rep.values, np.linalg.svd(r0, compute_uv=False)[:i],
+                                   rtol=0.0, atol=1e-10 * norm_r)
+        assert rep.certificate == bd.gap_certificate(BlockPartition(r0, k), i)
