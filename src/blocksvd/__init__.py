@@ -20,12 +20,12 @@ from .givens import (BlockGivens, BlockRotationFactors, BlockTrig,
                      SingularBlockError, block_rotation_decompose,
                      block_trig, build_left_rotation, build_right_rotation,
                      householder_block, rotation_weight)
-from .matcore import (BlockPartition, MatrixError, SVDFactors, as_matrix,
-                      operator_norm, psd_apply, schur_test_bound, submatrix,
-                      svd)
+from .matcore import (BlockPartition, MatrixError, NormBound, SVDFactors,
+                      as_matrix, certified_norm, operator_norm, psd_apply,
+                      schur_test_bound, submatrix, svd)
 from .mmio import MatrixMarketError, read_matrix, write_matrix
 from .pipeline import (ApproxReport, PartitionPlan, PipelineError,
-                       algorithm2, plan_partition)
+                       algorithm2, approximate, plan_partition)
 from .randmat import (ColumnProfile, GammaSpec, RandomColumnModel,
                       check_S1, corollary10_bounds, density, derived_stats,
                       empirical_gram, expected_gram, fluctuation_bounds,

@@ -72,11 +72,12 @@ class BlockDiagResult:
 
     ``final`` is the last iterate R_t, with pivot block ``a_inf`` and
     trailing block ``d_inf``; ``rotations`` holds each step's rotation in
-    thin form, in order. The accumulated factors ``q_left`` and
-    ``q_right``, with q_left @ R @ q_right = R_t, are replayed from
-    ``rotations`` on first access (reorthogonalized whenever their drift
-    exceeds REORTH_DRIFT per dimension), so a run that never reads them
-    never builds them.
+    thin form, in order; ``spectrum`` is sigma(R) of the input, whose
+    largest value scales the stopping test. The accumulated factors
+    ``q_left`` and ``q_right``, with q_left @ R @ q_right = R_t, are
+    replayed from ``rotations`` on first access (reorthogonalized whenever
+    their drift exceeds REORTH_DRIFT per dimension), so a run that never
+    reads them never builds them.
     """
 
     a_inf: np.ndarray
@@ -86,6 +87,7 @@ class BlockDiagResult:
     iterations: int
     final: np.ndarray     # the last iterate R_t
     rotations: list[BlockGivens]
+    spectrum: np.ndarray  # singular values of the input R, descending
 
     @cached_property
     def q_left(self) -> np.ndarray:
@@ -137,7 +139,8 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
     if first not in ("left", "right"):
         raise ValueError("first must be 'left' or 'right'")
     k = p.k
-    scale = operator_norm(p.base)
+    spectrum = np.linalg.svd(p.base, compute_uv=False)
+    scale = float(spectrum[0])    # operator_norm(p.base), bit for bit
     cur = BlockPartition(p.base.copy(), k)  # the iterate, rotated in place
     trace = SweepTrace(k=k)
     trace.append_state(0, cur)
@@ -164,7 +167,7 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
         converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
     return BlockDiagResult(a_inf=cur.a.copy(), d_inf=cur.d.copy(), trace=trace,
                            converged=converged, iterations=t, final=cur.base,
-                           rotations=rotations)
+                           rotations=rotations, spectrum=spectrum)
 
 
 @dataclass(frozen=True)
@@ -266,11 +269,21 @@ class GapCertificate:
 
 def gap_certificate(p: BlockPartition, i: int) -> GapCertificate:
     """Both sides of the gap condition sigma_i(R[:, :k]) >= ||R[:, k:]||."""
+    # With D zeroed, as on R0, ||[B; 0]|| = ||B|| at a fraction of the cost.
+    return _gap_certificate(p, i, p.right_band() if p.d.any() else p.b)
+
+
+def zeroed_gap_certificate(p: BlockPartition, i: int) -> GapCertificate:
+    """``gap_certificate`` of R0, the matrix of ``p`` with D zeroed, read
+    from ``p`` itself: R0 has the same left band, and ||[B; 0]|| = ||B||."""
+    return _gap_certificate(p, i, p.b)
+
+
+def _gap_certificate(p: BlockPartition, i: int, right: np.ndarray) -> GapCertificate:
     if not (1 <= i <= p.k):
         raise MatrixError(f"need 1 <= i <= k, got i={i}, k={p.k}")
     sig_left = np.linalg.svd(p.left_band(), compute_uv=False)
-    # With D zeroed, as on R0, ||[B; 0]|| = ||B|| at a fraction of the cost.
-    norm_right = operator_norm(p.right_band() if p.d.any() else p.b)
+    norm_right = operator_norm(right)
     return GapCertificate(i=i, sigma_i_left=float(sig_left[i - 1]),
                           norm_right=norm_right,
                           certified=bool(sig_left[i - 1] >= norm_right))

@@ -46,7 +46,7 @@ def _cmd_blockdiag(args) -> int:
               "trace": [r.to_json() for r in res.trace.records],
               "diagnostics": lem.to_json()}
     if args.oracle:
-        want = np.linalg.svd(p.base, compute_uv=False)
+        want = res.spectrum
         got = np.sort(np.concatenate([
             np.linalg.svd(res.a_inf, compute_uv=False),
             np.linalg.svd(res.d_inf, compute_uv=False)]))[::-1]
@@ -81,8 +81,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    r = mmio.read_matrix(args.matrix)
-    report = pl.algorithm2(r, k=args.k, i=args.i, oracle=args.oracle)
+    report = pl.approximate(mmio.read_matrix(args.matrix), k=args.k, i=args.i,
+                            oracle=args.oracle)
     _emit(report.to_json(), args.output)
     if args.oracle:
         tol = report.error_bound + 1e-9 * float(report.oracle_values[0])  # ||R||_2

@@ -4,32 +4,40 @@ Two stages: a planner that permutes rows and columns so a well-conditioned
 dense block lands in the top-left corner and reports how many leading
 singular values the column-norm heuristic predicts are recoverable, and a
 driver that zeroes the bottom-right block D and returns the top singular
-values of the remainder R0 with a certified error of twice the operator
-norm of D.
+values of the remainder R0 with a certified error of twice an upper bound
+on the operator norm of D. ``approximate`` runs both, as the CLI does.
 
-R0 = [[A, B], [C, 0]] has rank at most 2k, and the driver solves it from
-its factors R0 = X Y^T, X = [[A, I], [C, 0]], Y^T = [[I, 0], [0, B]]: a thin
-QR of each factor, then one SVD of the 2k x 2k core (Halko, Martinsson and
-Tropp, arXiv:0909.4061, section 5). The block-rotation sweeps of
+R0 = [[A, B], [C, 0]] has rank at most 2k. With thin QR factors
+C = Q_C R_C and B^T = Q_B R_B, R0 = diag(I, Q_C) [[A, R_B^T], [R_C, 0]]
+diag(I, Q_B^T), so sigma(R0) is the spectrum of that core of side at most
+2k (the rank-<=2k factored solve of Halko, Martinsson and Tropp,
+arXiv:0909.4061, section 5). The block-rotation sweeps of
 ``blockdiag.top_singular_values`` reach the same values and stay as the
 reference that ``verify pipeline`` checks this path against.
 
 Nothing here inverts the pivot A, so the driver solves the requested split
 whatever A is. R - R0 is D padded with zeros, so by Weyl's inequality
-|sigma_j(R) - sigma_j(R0)| <= ||D||: the reported 2 * ||D|| bounds
-|sigma_j(R) - values_j| for any A, up to the solve's rounding. When the gap
-certificate sigma_i([A; C]) >= ||B|| holds, interlacing gives
+|sigma_j(R) - sigma_j(R0)| <= ||D||: the reported 2 * norm_d bounds
+|sigma_j(R) - values_j| for any A, up to the solve's rounding. ``norm_d``
+is a certified upper bound on ||D||_2 (``matcore.certified_norm``). For a
+non-negative m' x n' block D it is the Collatz-Wielandt bound of a power
+iteration on D^T D, stopped within 1e-12 of the Rayleigh quotient and
+padded by gamma_{m'+n'} for the rounding of its non-negative sums; for a
+signed D, or when the
+iteration would need more than min(m', n') / 4 matrix-vector pairs (a cap
+below one SVD's cost), the exact ||D||_2 from an SVD.
+When the gap certificate sigma_i([A; C]) >= ||B|| holds, interlacing gives
 sigma_i(R0) >= ||B|| >= sigma_{k+1}(R0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blockdiag import GapCertificate, gap_certificate
-from .matcore import BlockPartition, MatrixError, as_matrix, operator_norm
+from .blockdiag import GapCertificate, zeroed_gap_certificate
+from .matcore import BlockPartition, MatrixError, as_matrix, certified_norm
 from .randmat import moment_ratio
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
@@ -65,30 +73,26 @@ class PartitionPlan:
                 "xi_ratio_flagged": bool(self.xi_ratio_flagged)}
 
 
-def _feasibility(r: np.ndarray, k: int, alpha: float) -> tuple[int, float]:
-    """(i_star, threshold) for an already-permuted matrix at split k."""
-    n = r.shape[1]
-    col_norms = np.linalg.norm(r, axis=0)
-    factor = np.sqrt(1.0 + np.sqrt(1.0 + 1.0 / alpha))
-    if k >= n:
-        return k - 1, 0.0
-    right = r[:, k:]
-    size_next = float(r[:, k].sum())
-    max_row_size = float(right.sum(axis=1).max()) if right.size else 0.0
-    threshold = factor * np.sqrt(size_next * max_row_size)
-    i_star = 0
-    for i in range(k - 1, 0, -1):
-        if col_norms[i - 1] >= threshold:
-            i_star = i
-            break
-    return i_star, float(threshold)
-
-
 def _candidate_splits(n: int) -> list[int]:
     if n <= 2:
         return [1]
     grid = np.unique(np.geomspace(1, n - 1, num=min(n - 1, 24)).round().astype(int))
     return [int(k) for k in grid if 1 <= k < n]
+
+
+def _right_max_row_sums(r: np.ndarray, col_perm: np.ndarray, splits: list[int]) -> np.ndarray:
+    """Largest row sum of the columns col_perm[k:], for each ascending k.
+
+    One product with a 0/1 matrix sums each row over the columns between
+    consecutive splits; accumulating those from the largest split down
+    gives every right block's row sums in one pass over r.
+    """
+    edges = np.asarray(splits + [r.shape[1]])
+    groups = np.zeros((r.shape[1], len(splits)))
+    for g, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        groups[col_perm[lo:hi], g] = 1.0
+    sums = np.cumsum((r @ groups)[:, ::-1], axis=1)[:, ::-1]
+    return sums.max(axis=0)
 
 
 def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan:
@@ -97,31 +101,38 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
     Columns are sorted by descending norm and rows by descending size (sum).
     With ``k`` given, reports the feasibility index at that split; otherwise
     scans a logarithmic grid of splits and keeps the one maximizing the
-    feasibility index (ties broken toward the smallest split).
+    feasibility index (ties broken toward the smallest split). At split k,
+    the threshold is sqrt(1 + sqrt(1 + 1/alpha)) times the square root of
+    column k's size and the largest row size of columns k and up, and the
+    index is the largest i < k whose column norm clears it. Every figure is
+    read through the permutations; the permuted matrix is never built.
     """
     r = as_matrix(r)
-    if np.any(r < 0):
+    if r.min() < 0.0:
         raise MatrixError("planner requires a non-negative matrix")
     if alpha <= 0:
         raise MatrixError("shape parameter alpha must be positive")
     m, n = r.shape
-    col_perm = np.argsort(-np.linalg.norm(r, axis=0), kind="stable")
+    col_norms = np.linalg.norm(r, axis=0)
+    col_perm = np.argsort(-col_norms, kind="stable")
     row_perm = np.argsort(-r.sum(axis=1), kind="stable")
-    pr = r[np.ix_(row_perm, col_perm)]
-
-    if k is not None:
-        if not (1 <= k < max(n, 2)):
-            raise MatrixError(f"need 1 <= k < n, got k={k}, n={n}")
-        best_k, (best_i, best_thr) = k, _feasibility(pr, k, alpha)
+    if k is not None and not (1 <= k < max(n, 2)):
+        raise MatrixError(f"need 1 <= k < n, got k={k}, n={n}")
+    splits = [k] if k is not None else _candidate_splits(n)
+    norms, sizes = col_norms[col_perm], r.sum(axis=0)[col_perm]
+    factor = np.sqrt(1.0 + np.sqrt(1.0 + 1.0 / alpha))
+    if n == 1:          # no right block to bound
+        best_k, best_i, best_thr = 1, 0, 0.0
     else:
         best_k, best_i, best_thr = None, -1, 0.0
-        for cand in _candidate_splits(n):
-            i_star, thr = _feasibility(pr, cand, alpha)
+        for cand, max_row in zip(splits, _right_max_row_sums(r, col_perm, splits)):
+            thr = float(factor * np.sqrt(sizes[cand] * max_row))
+            clear = np.flatnonzero(norms[: cand - 1] >= thr)
+            i_star = int(clear[-1]) + 1 if clear.size else 0
             if i_star > best_i:
                 best_k, best_i, best_thr = cand, i_star, thr
 
-    norms_left = np.linalg.norm(pr[:, :best_k], axis=0)
-    sizes_left = pr[:, :best_k].sum(axis=0)
+    norms_left, sizes_left = norms[:best_k], sizes[:best_k]
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = np.where(norms_left > 0, sizes_left / norms_left**2, 0.0)
     if np.all(xi > 0):
@@ -146,30 +157,38 @@ class PipelineError(RuntimeError):
 class ApproxReport:
     """Certified top singular values after dropping the bottom-right block.
 
-    ``values`` are the top singular values of R0, from its rank-<=2k factors
-    with no iteration. ``k`` is always the requested split, ``warnings``
-    empty, ``iterations`` 0 and ``converged`` True; these fields keep the
-    report in the same schema as one from the block-rotation reference path.
+    ``values`` are the top singular values of R0, from its rank-<=2k
+    factors with no iteration; ``k`` is always the requested split.
+    ``norm_d`` is a certified upper bound on ||D||_2 and ``error_bound`` is
+    twice it, so |sigma_j(R) - values_j| <= error_bound for any pivot A.
+    ``norm_d_method`` says how the bound was taken: ``"collatz-wielandt"``
+    (a non-negative m' x n' block D, power iteration on D^T D padded by
+    gamma_{m'+n'} for rounding, never below ||D||_2 and within about 1e-12
+    of it) or
+    ``"svd"`` (the exact ||D||_2, taken for a signed D and when the
+    iteration would need more pairs than its cap, which is below one SVD's
+    cost). ``norm_d_iterations`` counts
+    the iteration's matrix-vector pairs, including those run before it
+    gave way to the SVD.
     """
 
     rank: int
     k: int
     values: np.ndarray
-    error_bound: float          # 2 * ||D||, for any pivot A
+    error_bound: float          # 2 * norm_d, for any pivot A
     norm_d: float
+    norm_d_method: str
+    norm_d_iterations: int
     certificate: GapCertificate
-    converged: bool
-    iterations: int
-    warnings: list[str] = field(default_factory=list)
     oracle_values: np.ndarray | None = None
     oracle_deviations: np.ndarray | None = None
 
     def to_json(self) -> dict:
         out = {"rank": self.rank, "k": self.k, "values": self.values.tolist(),
                "error_bound": self.error_bound, "norm_d": self.norm_d,
-               "certificate": self.certificate.to_json(),
-               "converged": bool(self.converged), "iterations": self.iterations,
-               "warnings": list(self.warnings)}
+               "norm_d_method": self.norm_d_method,
+               "norm_d_iterations": self.norm_d_iterations,
+               "certificate": self.certificate.to_json()}
         if self.oracle_values is not None:
             out["oracle_values"] = self.oracle_values.tolist()
             out["oracle_deviations"] = self.oracle_deviations.tolist()
@@ -179,31 +198,48 @@ class ApproxReport:
 def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     """Top ``i`` singular values of ``r`` with a certified error bound.
 
-    Zeroes the bottom-right block D of the (k, k) partition, solves the
-    remainder R0 = X Y^T from thin QR factors of X and Y and one SVD of the
-    2k x 2k core, and reports its leading values together with the bound
-    2 * ||D||, which holds for any pivot A, singular or not: the split is
-    never changed. ``oracle`` adds a direct SVD comparison to the report.
+    Zeroes the bottom-right block D of the (k, k) partition, takes thin QR
+    factors C = Q_C R_C and B^T = Q_B R_B, and reads sigma(R0) from the
+    core [[A, R_B^T], [R_C, 0]] of side at most 2k; nothing of size m x n
+    is built. Reports the leading values with the bound 2 * norm_d, which
+    holds for any pivot A, singular or not: the split is never changed.
+    ``oracle`` adds a direct SVD comparison to the report.
     """
     r = as_matrix(r)
-    m, n = r.shape
+    n = r.shape[1]
     if n > DENSE_LIMIT:
         raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {n}")
     p = BlockPartition(r, k)
-    norm_d = operator_norm(p.d)
-    cert = gap_certificate(BlockPartition(p.zero_d(), k), i)
-    # R0 = X Y^T with X = [[A, I], [C, 0]] and Y^T = [[I, 0], [0, B]].
-    x = np.hstack([p.left_band(), np.eye(m, k)])
-    yt = np.zeros((2 * k, n))
-    yt[:k, :k] = np.eye(k)
-    yt[k:, k:] = p.b
-    core = np.linalg.qr(x, mode="r") @ np.linalg.qr(yt.T, mode="r").T
+    cert = zeroed_gap_certificate(p, i)
+    norm_d = certified_norm(p.d)
+    r_c = np.linalg.qr(p.c, mode="r")
+    r_b = np.linalg.qr(p.b.T, mode="r")
+    core = np.zeros((k + r_c.shape[0], k + r_b.shape[0]))
+    core[:k, :k] = p.a
+    core[:k, k:] = r_b.T
+    core[k:, :k] = r_c
     values = np.linalg.svd(core, compute_uv=False)[:i]
     report = ApproxReport(rank=i, k=k, values=values,
-                          error_bound=2.0 * norm_d, norm_d=norm_d,
-                          certificate=cert, converged=True, iterations=0)
+                          error_bound=2.0 * norm_d.value, norm_d=norm_d.value,
+                          norm_d_method=norm_d.method,
+                          norm_d_iterations=norm_d.iterations, certificate=cert)
     if oracle:
         true = np.linalg.svd(r, compute_uv=False)[:i]
         report.oracle_values = true
         report.oracle_deviations = np.abs(true - report.values)
     return report
+
+
+def approximate(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
+    """Plan, then solve: ``algorithm2(plan_partition(r, k).apply(r), k, i)``.
+
+    The planner's order puts the large columns and rows in the pivot, so the
+    dropped block D, and with it the error bound, is small. The planner
+    needs non-negative entries; a signed matrix is solved in its stored
+    order, where the certificate holds just the same. This is the ``approx``
+    command's path.
+    """
+    r = as_matrix(r)
+    if r.min() >= 0.0:
+        r = plan_partition(r, k=k).apply(r)
+    return algorithm2(r, k=k, i=i, oracle=oracle)

@@ -280,6 +280,7 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
     # The README's recipe at 5% density, kept where the 20x20 pivot is singular.
     rng = rm.stream(seed, 7)
     worst, found = np.inf, 0
+    worst_norm_d = np.inf
     while found < runs:
         r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.05)
         r[:, :20] *= 10.0
@@ -291,8 +292,25 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
         margin = (report.error_bound + 1e-9 * float(report.oracle_values[0])
                   - float(report.oracle_deviations.max()))
         worst = min(worst, margin if report.k == 20 else -1.0)
+        worst_norm_d = min(worst_norm_d, _norm_d_margin(report, pr, 20))
     rep.add("singular_pivot_sound", worst)
+    # The recipe at its README density, where the iteration certifies ||D||.
+    for _ in range(runs):
+        r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.3)
+        r[:, :20] *= 10.0
+        pr = pl.plan_partition(r, k=20).apply(r)
+        report = pl.algorithm2(pr, k=20, i=5)
+        worst_norm_d = min(worst_norm_d, _norm_d_margin(report, pr, 20))
+    rep.add("norm_d_certified", worst_norm_d)
     return rep
+
+
+def _norm_d_margin(report: pl.ApproxReport, r: np.ndarray, k: int) -> float:
+    """Relative room of norm_d inside [||D||_2, ||D||_2 (1 + 1e-9)]."""
+    exact = mc.operator_norm(r[k:, k:])
+    if exact == 0.0:
+        return 0.0 if report.norm_d == 0.0 else -1.0
+    return min(report.norm_d - exact, exact * (1 + 1e-9) - report.norm_d) / exact
 
 
 _RUNNERS = {

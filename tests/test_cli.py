@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blocksvd import cli, mmio
+from blocksvd import pipeline as pl
 
 RNG = np.random.default_rng(321)
 
@@ -39,6 +40,29 @@ class TestBlockdiagCommand:
         assert run(["blockdiag", path, "--k", 3, "--oracle", "-o", out]) == 0
         rep = json.loads(out.read_text())
         assert rep["oracle_max_dev"] <= 1e-9 * np.linalg.norm(r, 2)
+
+    def test_oracle_takes_one_full_spectrum(self, tmp_path, monkeypatch):
+        path, r = write_banded(tmp_path)
+        out = tmp_path / "rep.json"
+        shapes = []
+        real_svd, real_norm = np.linalg.svd, np.linalg.norm
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        def counting_norm(a, ord=None, *args, **kwargs):
+            if ord == 2:  # the spectral norm is a values-only SVD
+                shapes.append(np.shape(a))
+            return real_norm(a, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        code = run(["blockdiag", path, "--k", 3, "--oracle", "-o", out])
+        monkeypatch.undo()
+        assert code == 0
+        assert shapes.count(r.shape) == 1
+        assert json.loads(out.read_text())["oracle_max_dev"] <= 1e-9 * np.linalg.norm(r, 2)
 
     def test_singular_pivot_usage_error(self, tmp_path, capsys):
         r = np.abs(RNG.standard_normal((12, 8)))
@@ -80,6 +104,22 @@ class TestApproxCommand:
         rep = json.loads(out.read_text())
         assert len(rep["values"]) == 4
         assert max(rep["oracle_deviations"]) <= rep["error_bound"] + 1e-9
+
+    def test_plans_like_the_library_recipe(self, tmp_path):
+        # planted columns and rows, then shuffled: the stored order is a bad split
+        rng = np.random.default_rng(17)
+        r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.3)
+        r[:, :20] *= 10.0
+        r = r[rng.permutation(200)][:, rng.permutation(80)]
+        path, out = tmp_path / "shuffled.mtx", tmp_path / "rep.json"
+        mmio.write_matrix(path, r)
+        assert run(["approx", path, "--k", 20, "--i", 5, "-o", out]) == 0
+        rep = json.loads(out.read_text())
+        r = mmio.read_matrix(path)
+        recipe = pl.algorithm2(pl.plan_partition(r, k=20).apply(r), k=20, i=5)
+        assert rep["values"] == recipe.values.tolist()
+        assert rep["error_bound"] == recipe.error_bound
+        assert rep["certificate"]["certified"]
 
 
 class TestVerifyCommand:

@@ -100,6 +100,82 @@ class TestNorms:
         assert mc.schur_test_bound(m) >= mc.operator_norm(m) - 1e-12
 
 
+NONNEG_KINDS = ("sparse", "zero", "zero_lines", "rank_one", "block_diagonal")
+
+
+def nonneg_block(kind: str, m: int, n: int, seed: int) -> np.ndarray:
+    """A non-negative m x n matrix of one structural kind."""
+    rng = np.random.default_rng(seed)
+    d = rng.random((m, n)) * (rng.random((m, n)) < 0.5)
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "rank_one":
+        return np.outer(rng.random(m), rng.random(n))
+    if kind == "zero_lines":
+        d[rng.random(m) < 0.3] = 0.0
+        d[:, rng.random(n) < 0.3] = 0.0
+    if kind == "block_diagonal":  # reducible: x loses weight on the weaker block
+        d[: m // 2, n // 2 :] = 0.0
+        d[m // 2 :, : n // 2] = 0.0
+    return d
+
+
+class TestCertifiedNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(NONNEG_KINDS), st.integers(1, 40), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_collatz_wielandt_bound_brackets_norm(self, kind, m, n, seed):
+        d = nonneg_block(kind, m, n, seed)
+        bound, pairs = mc.collatz_wielandt_bound(d, 10**6)
+        exact = np.linalg.norm(d, 2)
+        assert pairs >= 1
+        if bound is not None:
+            assert exact <= bound <= exact * (1 + 1e-9)
+        if kind == "zero":
+            assert bound == 0.0
+
+    def test_signed_takes_exact_svd(self):
+        d = np.random.default_rng(4).standard_normal((30, 20))
+        nb = mc.certified_norm(d)
+        assert (nb.method, nb.iterations) == ("svd", 0)
+        assert nb.value == mc.operator_norm(d)
+
+    def test_dense_positive_takes_iteration(self):
+        d = np.random.default_rng(5).random((300, 100))
+        nb = mc.certified_norm(d)
+        exact = np.linalg.norm(d, 2)
+        assert nb.method == "collatz-wielandt"
+        assert 1 <= nb.iterations <= 25
+        assert exact <= nb.value <= exact * (1 + 1e-12)
+
+    def test_zero_columns_iterate_on_support(self):
+        d = np.random.default_rng(7).random((300, 100))
+        d[:, ::7] = 0.0
+        d[::5] = 0.0
+        nb = mc.certified_norm(d)
+        exact = np.linalg.norm(d, 2)
+        assert nb.method == "collatz-wielandt"
+        assert exact <= nb.value <= exact * (1 + 1e-12)
+
+    def test_slow_iteration_falls_back_to_svd(self):
+        # Nearly equal leading eigenvalues of D^T D: the gap shrinks too
+        # slowly to finish within one SVD's cost of 40 / 4 pairs.
+        d = np.eye(100, 40) + 0.01 * np.random.default_rng(6).random((100, 40))
+        nb = mc.certified_norm(d)
+        assert nb.method == "svd"
+        assert 1 <= nb.iterations <= 10
+        assert nb.value == mc.operator_norm(d)
+
+    def test_small_block_skips_iteration(self):
+        # one SVD of a 3 x 3 block costs less than one pair of products
+        nb = mc.certified_norm(np.eye(3))
+        assert (nb.value, nb.method, nb.iterations) == (1.0, "svd", 0)
+
+    def test_zero_block_is_exact(self):
+        nb = mc.certified_norm(np.zeros((20, 8)))
+        assert (nb.value, nb.method, nb.iterations) == (0.0, "collatz-wielandt", 1)
+
+
 class TestPsdApply:
     def test_identity_function(self):
         s = np.array([[2.0, 1.0], [1.0, 2.0]])
