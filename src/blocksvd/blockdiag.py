@@ -13,7 +13,7 @@ from .matcore import BlockPartition, MatrixError, as_matrix, operator_norm, svd
 from .givens import BlockGivens, SingularBlockError, _build_rotation
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+DEFAULT_MAX_ITER = 1000
 REORTH_DRIFT = 1e-10
 
 

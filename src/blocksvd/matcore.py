@@ -147,10 +147,11 @@ CW_TOL = 1e-12       # stop once the upper bound is within CW_TOL of the lower
 # A values-only SVD of an m x n block (m >= n) takes 4 m n^2 - 4 n^3 / 3
 # flops and one pair of matrix-vector products 4 m n, at about half the SVD's
 # speed per flop: with one BLAS thread one SVD took as long as 25 pairs at
-# 180 x 60 and 107 pairs at 570 x 270. Capping the iteration at n / 4 pairs
-# keeps a successful run well under one SVD, and one that gives up (and
-# then pays for the SVD) under about two.
-CW_PAIRS_PER_COLUMN = 0.25
+# 180 x 60 and 107 pairs at 570 x 270, 0.42 and 0.40 pairs per column of the
+# smaller side. Capping the iteration at that crossover, 0.4 n pairs, keeps a
+# successful run under one SVD, and one that gives up (and then pays for the
+# SVD) under two.
+CW_PAIRS_PER_COLUMN = 0.4
 # Smallest (Mx)_i the rounding pad covers: far enough from the subnormal
 # range that underflow adds less than the pad's relative error.
 _SAFE_MIN = np.finfo(float).tiny / UNIT_ROUNDOFF

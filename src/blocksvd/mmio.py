@@ -6,19 +6,25 @@ deterministic — entries sorted row-major, values formatted with %.17g so a
 read-back reproduces the float64 exactly. Reading validates structure and
 reports the offending line number on failure.
 
-Reading has two paths over the entry lines. The fast path parses all of
-them in one ``np.loadtxt`` call and checks index ranges, the lower triangle
-of symmetric files, duplicates and the entry count with array operations.
-It refuses any file it cannot take whole: a token numpy will not parse
-(``1.0`` or ``1_0`` as an index, a ``%`` comment between entries, a wrong
-token count), a loadtxt warning, or a failed range, triangle or duplicate
-check. A refused file goes to the per-line loop, which either names its
-first bad line or, for spellings Python accepts and numpy does not (``1_0``,
-comment lines between entries), returns the same matrix. The fast path
-accepts no file the loop would reject, and both return the same bits.
+Reading has two paths over the entry lines. The fast path reads the
+header, then hands ``np.loadtxt`` the file's path with the header lines
+skipped, so numpy's C parser reads the file in large chunks rather than one
+Python line at a time. It checks index ranges, the lower triangle of
+symmetric files, duplicates (with no sort when the entries are in row-major
+order) and the entry count with array operations. It refuses any file it
+cannot take whole: a token numpy will not parse (``1.0`` or ``1_0`` as an
+index, a ``%`` comment between entries, a wrong token count), a loadtxt
+warning, a failed range, triangle or duplicate check, or a path numpy would
+not open as plain text (a compressed suffix such as ``.gz``, a URL). A
+refused file goes to the per-line loop, which either names its first bad
+line or, for spellings Python accepts and numpy does not (``1_0``, comment
+lines between entries), returns the same matrix. The fast path accepts no
+file the loop would reject, and both return the same bits.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from .matcore import MatrixError
 _HEADER = "%%MatrixMarket matrix coordinate real"
 _SYMMETRIES = ("general", "symmetric")
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class MatrixMarketError(MatrixError):
@@ -119,28 +126,44 @@ def read_matrix(path) -> np.ndarray:
 
     with open(path, "r") as fh:
         symmetric, rows, cols, nnz, size_line = _read_header(fh)
-        out = np.zeros((rows, cols))
-        # A warning refuses the file too: loadtxt warns on an empty body, and
-        # numpy releases that still parse "1.0" as an integer warn on it.
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                entries = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1)
-        except (ValueError, Warning):
-            return _read_by_lines(path)
+    if isinstance(path, os.PathLike):
+        path = os.fspath(path)
+    # Given a str, loadtxt reads in large chunks, but it opens the file
+    # through numpy's DataSource, which decompresses by suffix and fetches
+    # URLs; such names take the line loop.
+    if not isinstance(path, str) or path.endswith(_COMPRESSED) or "://" in path:
+        return _read_by_lines(path)
+    # A warning refuses the file too: loadtxt warns on an empty body, and
+    # numpy releases that still parse "1.0" as an integer warn on it.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = np.loadtxt(path, dtype=_ENTRY, comments=None, ndmin=1,
+                                 skiprows=size_line)
+    except (ValueError, Warning):
+        return _read_by_lines(path)
     i, j, v = entries["i"], entries["j"], entries["v"]
+    # i and j are checked apart: a flat key of an int64 index near 2**63
+    # could wrap into range.
     if (i.min() < 1 or i.max() > rows or j.min() < 1 or j.max() > cols
             or (symmetric and np.any(j > i))):
         return _read_by_lines(path)
-    keys = np.sort((i - 1) * cols + (j - 1))
-    if np.any(keys[1:] == keys[:-1]):
-        return _read_by_lines(path)
+    keys = i * cols
+    keys += j - (cols + 1)          # 0-based row-major flat index
+    # Writers emit row-major order, where strictly increasing keys rule out
+    # duplicates without a sort.
+    if not np.all(keys[1:] > keys[:-1]):
+        ordered = np.sort(keys)
+        if np.any(ordered[1:] == ordered[:-1]):
+            return _read_by_lines(path)
     if entries.size != nnz:
         raise MatrixMarketError(
             f"line {size_line}: size line promises {nnz} entries, file has {entries.size}")
-    out[i - 1, j - 1] = v
+    out = np.zeros((rows, cols))
+    flat = out.reshape(-1)
+    flat[keys] = v
     if symmetric:
-        out[j - 1, i - 1] = v
+        flat[(j - 1) * cols + (i - 1)] = v
     return out
 
 

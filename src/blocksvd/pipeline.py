@@ -23,9 +23,9 @@ is a certified upper bound on ||D||_2 (``matcore.certified_norm``). For a
 non-negative m' x n' block D it is the Collatz-Wielandt bound of a power
 iteration on D^T D, stopped within 1e-12 of the Rayleigh quotient and
 padded by gamma_{m'+n'} for the rounding of its non-negative sums; for a
-signed D, or when the
-iteration would need more than min(m', n') / 4 matrix-vector pairs (a cap
-below one SVD's cost), the exact ||D||_2 from an SVD.
+signed D, or when the iteration would need more than 0.4 min(m', n')
+matrix-vector pairs (the measured cost of one SVD), the exact ||D||_2 from
+an SVD.
 When the gap certificate sigma_i([A; C]) >= ||B|| holds, interlacing gives
 sigma_i(R0) >= ||B|| >= sigma_{k+1}(R0).
 """
@@ -166,7 +166,7 @@ class ApproxReport:
     gamma_{m'+n'} for rounding, never below ||D||_2 and within about 1e-12
     of it) or
     ``"svd"`` (the exact ||D||_2, taken for a signed D and when the
-    iteration would need more pairs than its cap, which is below one SVD's
+    iteration would need more pairs than its cap, about one SVD's
     cost). ``norm_d_iterations`` counts
     the iteration's matrix-vector pairs, including those run before it
     gave way to the SVD.
@@ -236,10 +236,14 @@ def approximate(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     The planner's order puts the large columns and rows in the pivot, so the
     dropped block D, and with it the error bound, is small. The planner
     needs non-negative entries; a signed matrix is solved in its stored
-    order, where the certificate holds just the same. This is the ``approx``
-    command's path.
+    order, where the certificate holds just the same. A wide matrix
+    (fewer rows than columns) is transposed first: sigma(R) = sigma(R^T),
+    so R^T is planned and solved, and ``k`` splits R^T. This is the
+    ``approx`` command's path.
     """
     r = as_matrix(r)
+    if r.shape[0] < r.shape[1]:
+        r = r.T
     if r.min() >= 0.0:
         r = plan_partition(r, k=k).apply(r)
     return algorithm2(r, k=k, i=i, oracle=oracle)

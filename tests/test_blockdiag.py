@@ -89,6 +89,31 @@ class TestBlockDiagonalize:
         assert not res.converged
         assert res.iterations == 1
 
+    def test_slow_contraction_converges_within_default_cap(self):
+        # An 80 x 80 planted matrix at 30% density, k = 40, with a nonzero
+        # diagonal in the pivot block; its off-blocks shrink by about 0.91 a
+        # sweep, so it needs more than 200 sweeps.
+        m = n = 80
+        k = 40
+        rng = np.random.default_rng([207, 0, 37, 3])
+        nnz = int(rng.binomial(m * n, 0.30))
+        rows, cols = np.divmod(rng.choice(m * n, size=nnz, replace=False), n)
+        vals = np.abs(rng.standard_normal(nnz))
+        vals[cols < k] *= 10.0
+        rows = rng.permutation(m)[rows]
+        cols = rng.permutation(n)[cols]
+        diag = np.setdiff1d(np.arange(k) * (n + 1), rows * n + cols)
+        rows = np.concatenate([rows, diag // n])
+        cols = np.concatenate([cols, diag % n])
+        vals = np.concatenate([vals, np.abs(rng.standard_normal(diag.size))])
+        r = np.zeros((m, n))
+        r[rows, cols] = vals
+
+        res = bd.block_diagonalize(mc.BlockPartition(r, k))
+        assert res.converged
+        assert 200 < res.iterations < bd.DEFAULT_MAX_ITER
+        assert bd.check_lemma11(res.trace).all_passed
+
 
 class TestLemma11Diagnostics:
     def test_block_diagonal_input_vacuous(self):

@@ -121,6 +121,18 @@ class TestApproxCommand:
         assert rep["error_bound"] == recipe.error_bound
         assert rep["certificate"]["certified"]
 
+    def test_wide_file(self, tmp_path):
+        rng = np.random.default_rng(18)
+        r = np.abs(rng.standard_normal((40, 100))) * (rng.random((40, 100)) < 0.3)
+        r[:10] *= 10.0
+        path, out = tmp_path / "wide.mtx", tmp_path / "rep.json"
+        mmio.write_matrix(path, r)
+        assert run(["approx", path, "--k", 10, "--i", 4, "--oracle", "-o", out]) == 0
+        rep = json.loads(out.read_text())
+        true = np.linalg.svd(r, compute_uv=False)[:4]
+        np.testing.assert_allclose(rep["oracle_values"], true, rtol=1e-12)
+        assert np.abs(true - rep["values"]).max() <= rep["error_bound"] + 1e-9 * true[0]
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path):

@@ -159,7 +159,7 @@ class TestCertifiedNorm:
 
     def test_slow_iteration_falls_back_to_svd(self):
         # Nearly equal leading eigenvalues of D^T D: the gap shrinks too
-        # slowly to finish within one SVD's cost of 40 / 4 pairs.
+        # slowly to finish within one SVD's cost of 0.4 * 40 = 16 pairs.
         d = np.eye(100, 40) + 0.01 * np.random.default_rng(6).random((100, 40))
         nb = mc.certified_norm(d)
         assert nb.method == "svd"
@@ -167,8 +167,8 @@ class TestCertifiedNorm:
         assert nb.value == mc.operator_norm(d)
 
     def test_small_block_skips_iteration(self):
-        # one SVD of a 3 x 3 block costs less than one pair of products
-        nb = mc.certified_norm(np.eye(3))
+        # one SVD of a 2 x 2 block costs less than one pair of products
+        nb = mc.certified_norm(np.eye(2))
         assert (nb.value, nb.method, nb.iterations) == (1.0, "svd", 0)
 
     def test_zero_block_is_exact(self):

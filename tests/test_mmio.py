@@ -129,6 +129,12 @@ class TestVectorizedMatchesLineLoop:
          "line 2: size line promises 3 entries, file has 2"),
         ("out_of_range", GENERAL + "\n2 2 2\n1 1 1\n0 1 2\n", "line 4: index \\(0, 1\\)"),
         ("symmetric_expands", SYMMETRIC + "\n3 3 3\n1 1 1\n3 1 2\n3 2 -4\n", None),
+        ("header_comments_blanks",
+         GENERAL + "\n% one\n%two\n% three\n\n  \n2 2 2\n1 1 1.5\n2 2 -3\n", None),
+        ("unsorted", GENERAL + "\n3 3 4\n3 1 4\n1 2 1\n2 2 2\n1 1 3\n", None),
+        ("unsorted_symmetric", SYMMETRIC + "\n3 3 3\n3 2 -4\n1 1 1\n3 1 2\n", None),
+        ("unsorted_late_duplicate", GENERAL + "\n3 3 5\n3 3 3\n1 1 1\n2 2 2\n3 1 4\n1 1 5\n",
+         "line 7: duplicate entry for \\(1, 1\\)"),
     ]
 
     @pytest.mark.parametrize("name, text, error", CASES, ids=[c[0] for c in CASES])
@@ -148,8 +154,24 @@ class TestVectorizedMatchesLineLoop:
         m = RNG.standard_normal((9, 4))
         m[RNG.random((9, 4)) < 0.4] = 0.0
         mmio.write_matrix(path, m)
+        commented = tmp_path / "commented.mtx"
+        mmio.write_matrix(commented, m, comments=["first note", "second note"])
+        shuffled = tmp_path / "shuffled.mtx"
+        head, size, *entries = path.read_text().splitlines()
+        shuffled.write_text("\n".join([head, "% note", "", size] + entries[::-1]) + "\n")
         monkeypatch.setattr(mmio, "_read_by_lines", None)
-        np.testing.assert_array_equal(mmio.read_matrix(path), m)
+        for p in (path, commented, shuffled):
+            np.testing.assert_array_equal(mmio.read_matrix(p), m)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, suffix):
+        # numpy would decompress a path with this suffix; it is plain text
+        path = tmp_path / f"m.mtx{suffix}"
+        path.write_text(GENERAL + "\n2 2 2\n1 1 1.5\n2 2 -3\n")
+        for p in (path, str(path)):
+            got = mmio.read_matrix(p)
+            assert got.tobytes() == mmio._read_by_lines(p).tobytes()
+            np.testing.assert_array_equal(got, [[1.5, 0.0], [0.0, -3.0]])
 
 
 sparse_matrices = arrays(

@@ -237,7 +237,9 @@ class TestSingularPivot:
         norm_r = np.linalg.norm(r, 2)
         p = BlockPartition(r, k)
         assert np.linalg.svd(p.a, compute_uv=False)[-1] <= 1e-12 * norm_r
-        assert rep.error_bound == 2.0 * operator_norm(p.d)
+        exact = operator_norm(p.d)
+        assert exact <= rep.norm_d <= exact * (1 + 1e-12)
+        assert rep.error_bound == 2.0 * rep.norm_d
         assert float(rep.oracle_deviations.max()) <= rep.error_bound + 1e-9 * norm_r
         r0 = p.zero_d()
         np.testing.assert_allclose(rep.values, np.linalg.svd(r0, compute_uv=False)[:i],
@@ -347,3 +349,11 @@ class TestApproximate:
     def test_signed_input_solved_in_stored_order(self):
         r = planted_low_rank(60, 40, 8, 0.01, np.random.default_rng(27))
         assert pl.approximate(r, k=8, i=4).to_json() == pl.algorithm2(r, k=8, i=4).to_json()
+
+    def test_wide_input_solved_through_its_transpose(self):
+        rng = np.random.default_rng(28)
+        r = synthetic_sparse(100, 40, rng).T          # 40 x 100
+        rep = pl.approximate(r, k=10, i=4, oracle=True)
+        assert rep.to_json() == pl.approximate(r.T, k=10, i=4, oracle=True).to_json()
+        true = np.linalg.svd(r, compute_uv=False)[:4]
+        assert np.abs(true - rep.values).max() <= rep.error_bound + 1e-9 * true[0]
