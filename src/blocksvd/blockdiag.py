@@ -4,7 +4,7 @@ certified extraction of top singular values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,10 +33,32 @@ class SweepRecord:
     degenerate: bool
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["sigma_a"] = list(map(float, self.sigma_a))
-        d["sigma_left_band"] = list(map(float, self.sigma_left_band))
-        return d
+        return {"t": self.t, "norm_a": self.norm_a, "sigma_a": self.sigma_a.tolist(),
+                "sigma_k_a": self.sigma_k_a, "norm_b": self.norm_b,
+                "norm_c": self.norm_c, "norm_d": self.norm_d,
+                "sigma_left_band": self.sigma_left_band.tolist(),
+                "norm_right_band": self.norm_right_band,
+                "degenerate": self.degenerate}
+
+
+def _gram_norm(x: np.ndarray) -> float:
+    """||x||_2 as s * sqrt(lambda_max(Y^T Y)), with Y = x / s and s = max|x|.
+
+    The Gram matrix is taken on the smaller side of x. After the scaling
+    max|Y| = 1, so the Gram matrix has an entry of at least 1 and squaring
+    can neither overflow nor lose the largest eigenvalue to underflow.
+    Forming the Gram matrix and eigvalsh each err by a few units of
+    roundoff relative to lambda_max = ||Y||^2, so the norm has about the
+    same relative error. Small singular values would lose their accuracy
+    to the squaring, which is why the trace takes its spectra (sigma_a,
+    the left band) from values-only SVDs instead.
+    """
+    s = float(np.abs(x).max())
+    if s == 0.0:
+        return 0.0
+    y = x / s
+    g = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+    return s * float(np.sqrt(np.linalg.eigvalsh(g)[-1]))
 
 
 @dataclass
@@ -45,23 +67,28 @@ class SweepTrace:
     records: list[SweepRecord] = field(default_factory=list)
 
     def append_state(self, t: int, p: BlockPartition, degenerate: bool = False):
-        """Record R_t. An exactly zero block, as each step leaves the
-        off-block it annihilates, costs no SVD: its norm is 0.0, with C_t = 0
-        the left band [A_t; 0] has the spectrum of A_t, and with B_t = 0 the
-        right band [0; D_t] has the norm of D_t."""
+        """Record R_t. The spectra sigma_a and sigma_left_band come from
+        values-only SVDs, since the rotation's singularity test and the gap
+        check read their small values. The four norms (B_t, C_t, D_t and the
+        right band) come from ``_gram_norm``, the top eigenvalue of the
+        scaled Gram matrix on the block's smaller side, which agrees with
+        the SVD's norm to about 1e-15 relative. An exactly zero block, as
+        each step leaves the off-block it annihilates, costs nothing: its
+        norm is 0.0, with C_t = 0 the left band [A_t; 0] has the spectrum of
+        A_t, and with B_t = 0 the right band [0; D_t] has the norm of D_t."""
         sa = np.linalg.svd(p.a, compute_uv=False)
         c_zero, b_zero = not p.c.any(), not p.b.any()
-        norm_d = operator_norm(p.d) if p.d.any() else 0.0
+        norm_d = _gram_norm(p.d)
         self.records.append(SweepRecord(
             t=t,
             norm_a=float(sa[0]),
             sigma_a=sa,
             sigma_k_a=float(sa[-1]),
-            norm_b=0.0 if b_zero else operator_norm(p.b),
-            norm_c=0.0 if c_zero else operator_norm(p.c),
+            norm_b=0.0 if b_zero else _gram_norm(p.b),
+            norm_c=0.0 if c_zero else _gram_norm(p.c),
             norm_d=norm_d,
             sigma_left_band=sa if c_zero else np.linalg.svd(p.left_band(), compute_uv=False),
-            norm_right_band=norm_d if b_zero else operator_norm(p.right_band()),
+            norm_right_band=norm_d if b_zero else _gram_norm(p.right_band()),
             degenerate=degenerate,
         ))
 

@@ -11,6 +11,7 @@ codes: 0 success, 1 check violation, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,7 +97,11 @@ def _cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``blocksvd`` parser, built once per process and shared by every
+    call: parsing leaves it unchanged (callers must not modify it either),
+    and building it costs more than most commands' parsing."""
     top = argparse.ArgumentParser(prog="blocksvd",
                                   description="Block-rotation singular value toolkit")
     sub = top.add_subparsers(dest="command", required=True)
@@ -115,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help=oracle_help)
     p = matrix_command("bounds", "singular value perturbation bounds")
     p.add_argument("--i", type=int, default=None, help="value index (default k)")
-    p = matrix_command("plan", "permute and split a non-negative matrix",
+    p = matrix_command("plan", "permute and split a non-negative matrix "
+                       "(a wide one through its transpose)",
                        k_required=False, k_help="fixed split (default: scan)")
     p.add_argument("--alpha", type=float, default=1.0, help="size shape parameter")
     p = matrix_command("approx", "certified top singular values")

@@ -50,7 +50,8 @@ class PartitionPlan:
     ``i_star`` is the largest rank i < k whose column norm clears the
     size-based threshold; ``xi_ratio`` is the moment ratio of the leading
     columns' size-to-squared-norm sequence, flagged when it exceeds the
-    homogeneity cap 1 + m / (c_max * k).
+    homogeneity cap 1 + m / (c_max * k). ``transposed`` says the plan
+    permutes and splits R^T, as it does for a wide R (see ``_oriented``).
     """
 
     column_permutation: np.ndarray
@@ -60,9 +61,12 @@ class PartitionPlan:
     threshold: float
     xi_ratio: float
     xi_ratio_flagged: bool
+    transposed: bool
 
     def apply(self, r) -> np.ndarray:
         r = as_matrix(r)
+        if self.transposed:
+            r = r.T
         return r[np.ix_(self.row_permutation, self.column_permutation)]
 
     def to_json(self) -> dict:
@@ -70,7 +74,18 @@ class PartitionPlan:
                 "row_permutation": self.row_permutation.tolist(),
                 "k": self.k, "i_star": self.i_star, "threshold": self.threshold,
                 "xi_ratio": self.xi_ratio,
-                "xi_ratio_flagged": bool(self.xi_ratio_flagged)}
+                "xi_ratio_flagged": bool(self.xi_ratio_flagged),
+                "transposed": self.transposed}
+
+
+def _oriented(r) -> tuple[np.ndarray, bool]:
+    """``(R, False)``, or ``(R^T, True)`` when R has fewer rows than columns.
+
+    A partition needs m >= n, and sigma(R) = sigma(R^T), so a wide matrix is
+    planned and solved through its transpose.
+    """
+    r = as_matrix(r)
+    return (r.T, True) if r.shape[0] < r.shape[1] else (r, False)
 
 
 def _candidate_splits(n: int) -> list[int]:
@@ -105,9 +120,10 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
     the threshold is sqrt(1 + sqrt(1 + 1/alpha)) times the square root of
     column k's size and the largest row size of columns k and up, and the
     index is the largest i < k whose column norm clears it. Every figure is
-    read through the permutations; the permuted matrix is never built.
+    read through the permutations; the permuted matrix is never built. A
+    wide matrix is planned through its transpose, so ``k`` splits R^T.
     """
-    r = as_matrix(r)
+    r, transposed = _oriented(r)
     if r.min() < 0.0:
         raise MatrixError("planner requires a non-negative matrix")
     if alpha <= 0:
@@ -142,7 +158,8 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
     cap = 1.0 + m / (max(float(sizes_left.max()), 1e-300) * best_k)
     return PartitionPlan(column_permutation=col_perm, row_permutation=row_perm,
                          k=best_k, i_star=best_i, threshold=best_thr,
-                         xi_ratio=xi_ratio, xi_ratio_flagged=bool(xi_ratio > cap))
+                         xi_ratio=xi_ratio, xi_ratio_flagged=bool(xi_ratio > cap),
+                         transposed=transposed)
 
 
 class PipelineError(RuntimeError):
@@ -237,13 +254,11 @@ def approximate(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     dropped block D, and with it the error bound, is small. The planner
     needs non-negative entries; a signed matrix is solved in its stored
     order, where the certificate holds just the same. A wide matrix
-    (fewer rows than columns) is transposed first: sigma(R) = sigma(R^T),
-    so R^T is planned and solved, and ``k`` splits R^T. This is the
-    ``approx`` command's path.
+    (fewer rows than columns) is solved through its transpose, planned or
+    not (``_oriented``), so ``k`` splits R^T, as in ``plan_partition``.
+    This is the ``approx`` command's path.
     """
-    r = as_matrix(r)
-    if r.shape[0] < r.shape[1]:
-        r = r.T
+    r, _ = _oriented(r)
     if r.min() >= 0.0:
         r = plan_partition(r, k=k).apply(r)
     return algorithm2(r, k=k, i=i, oracle=oracle)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,59 @@ class TestBlockDiagonalize:
         assert res.converged
         assert 200 < res.iterations < bd.DEFAULT_MAX_ITER
         assert bd.check_lemma11(res.trace).all_passed
+
+
+def _mixed_magnitudes():
+    x = np.where(np.random.default_rng(5).random((30, 12)) < 0.5, 1.0, 1e-180)
+    x[:, 3] = 1e-180        # a column with no entry above 1e-180
+    return x
+
+
+class TestGramNorm:
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.outer(np.arange(1.0, 8.0), np.arange(1.0, 5.0)), id="rank-one"),
+        pytest.param(np.random.default_rng(1).standard_normal((60, 14)), id="tall"),
+        pytest.param(np.random.default_rng(2).standard_normal((9, 50)), id="wide"),
+        pytest.param(np.random.default_rng(3).random((25, 25)), id="square"),
+        pytest.param(1e-200 * np.random.default_rng(4).standard_normal((40, 10)), id="1e-200"),
+        pytest.param(1e200 * np.random.default_rng(4).standard_normal((10, 40)), id="1e200"),
+        pytest.param(_mixed_magnitudes(), id="1-and-1e-180"),
+    ])
+    def test_matches_operator_norm(self, x):
+        want = mc.operator_norm(x)
+        assert abs(bd._gram_norm(x) - want) <= 1e-13 * want
+
+    def test_zero_block(self):
+        assert bd._gram_norm(np.zeros((6, 3))) == 0.0
+        assert bd._gram_norm(np.zeros((3, 6))) == 0.0
+
+    def test_trace_takes_no_operator_norm(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("trace norms come from _gram_norm")
+
+        monkeypatch.setattr(bd, "operator_norm", refuse)
+        p = random_partition(30, 12, 4, scale_left=5.0)
+        trace = bd.SweepTrace(k=4)
+        trace.append_state(0, p)
+        rec = trace.records[0]
+        for name, block in (("norm_b", p.b), ("norm_c", p.c), ("norm_d", p.d),
+                            ("norm_right_band", p.right_band())):
+            want = np.linalg.norm(block, 2)
+            assert abs(getattr(rec, name) - want) <= 1e-13 * want, name
+
+
+class TestSweepRecordJson:
+    def test_same_dict_as_field_copy(self):
+        # the JSON of a record: every field as stored, spectra as lists
+        res = bd.block_diagonalize(random_partition(20, 8, 3, scale_left=10.0))
+        for rec in res.trace.records:
+            want = dataclasses.asdict(rec)
+            want["sigma_a"] = [float(v) for v in rec.sigma_a]
+            want["sigma_left_band"] = [float(v) for v in rec.sigma_left_band]
+            got = rec.to_json()
+            assert list(got) == list(want)
+            assert got == want
+            assert all(type(v) is float for v in got["sigma_a"] + got["sigma_left_band"])
 
 
 class TestLemma11Diagnostics:

@@ -95,6 +95,23 @@ class TestPlanCommand:
         assert rep["k"] == 2
         assert len(rep["column_permutation"]) == 6
 
+    def test_wide_file_split_like_approx(self, tmp_path):
+        # plan and approx both split the transpose of a 40 x 100 file
+        rng = np.random.default_rng(19)
+        r = np.abs(rng.standard_normal((40, 100))) * (rng.random((40, 100)) < 0.3)
+        r[:10] *= 10.0
+        path, plan_out, rep_out = tmp_path / "wide.mtx", tmp_path / "plan.json", tmp_path / "rep.json"
+        mmio.write_matrix(path, r)
+        assert run(["plan", path, "--k", 10, "-o", plan_out]) == 0
+        assert run(["approx", path, "--k", 10, "--i", 4, "-o", rep_out]) == 0
+        plan, rep = json.loads(plan_out.read_text()), json.loads(rep_out.read_text())
+        assert plan["transposed"] is True
+        assert plan["k"] == rep["k"] == 10
+        assert sorted(plan["row_permutation"]) == list(range(100))
+        assert sorted(plan["column_permutation"]) == list(range(40))
+        split = r.T[np.ix_(plan["row_permutation"], plan["column_permutation"])]
+        assert pl.algorithm2(split, k=10, i=4).to_json() == rep
+
 
 class TestApproxCommand:
     def test_certified_with_oracle(self, tmp_path):
@@ -145,6 +162,25 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self, capsys):
         assert run(["verify", "nonsense"]) == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_reports_match_fresh_parsers(self, tmp_path):
+        # main reuses one parser per process; an earlier command's options
+        # must not leak into a later one
+        path, _ = write_banded(tmp_path)
+        calls = [["bounds", path, "--k", 3, "--i", 2], ["bounds", path, "--k", 3],
+                 ["blockdiag", path, "--k", 3]]
+        fresh = []
+        for n, args in enumerate(calls):
+            cli.build_parser.cache_clear()
+            out = tmp_path / f"fresh{n}.json"
+            fresh.append((run(args + ["-o", out]), out.read_text()))
+        assert json.loads(fresh[0][1])["i"] == 2 and json.loads(fresh[1][1])["i"] == 3
+        for n, args in enumerate(calls):
+            out = tmp_path / f"reused{n}.json"
+            assert (run(args + ["-o", out]), out.read_text()) == fresh[n]
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestDeterminism:

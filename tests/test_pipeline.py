@@ -127,7 +127,20 @@ class TestPlanPartition:
         plan = pl.plan_partition(np.abs(RNG.standard_normal((6, 4))), k=2)
         d = plan.to_json()
         assert {"column_permutation", "row_permutation", "k", "i_star",
-                "threshold", "xi_ratio", "xi_ratio_flagged"} <= set(d)
+                "threshold", "xi_ratio", "xi_ratio_flagged", "transposed"} <= set(d)
+        assert d["transposed"] is False
+
+    def test_wide_input_planned_through_its_transpose(self):
+        rng = np.random.default_rng(29)
+        r = synthetic_sparse(100, 40, rng)
+        plan = pl.plan_partition(r.T, k=10)
+        assert plan.transposed
+        tall = pl.plan_partition(r, k=10)
+        assert not tall.transposed
+        for name in ("column_permutation", "row_permutation"):
+            np.testing.assert_array_equal(getattr(plan, name), getattr(tall, name))
+        assert (plan.k, plan.i_star, plan.threshold) == (tall.k, tall.i_star, tall.threshold)
+        np.testing.assert_array_equal(plan.apply(r.T), tall.apply(r))
 
 
 class TestAlgorithm2:
@@ -349,6 +362,7 @@ class TestApproximate:
     def test_signed_input_solved_in_stored_order(self):
         r = planted_low_rank(60, 40, 8, 0.01, np.random.default_rng(27))
         assert pl.approximate(r, k=8, i=4).to_json() == pl.algorithm2(r, k=8, i=4).to_json()
+        assert pl.approximate(r.T, k=8, i=4).to_json() == pl.algorithm2(r, k=8, i=4).to_json()
 
     def test_wide_input_solved_through_its_transpose(self):
         rng = np.random.default_rng(28)
