@@ -1,6 +1,6 @@
 """Block-rotation singular value toolkit.
 
-Core pieces: block partitions and SVD utilities (``matcore``), block
+Core pieces: block partitions and norms (``matcore``), block
 Givens rotations (``givens``), iterative block diagonalization
 (``blockdiag``), singular value perturbation bounds for zeroed blocks
 (``bounds``), sparse non-negative random column ensembles and their
@@ -20,9 +20,8 @@ from .givens import (BlockGivens, BlockRotationFactors, BlockTrig,
                      SingularBlockError, block_rotation_decompose,
                      block_trig, build_left_rotation, build_right_rotation,
                      householder_block, rotation_weight)
-from .matcore import (BlockPartition, MatrixError, NormBound, SVDFactors,
-                      as_matrix, certified_norm, operator_norm, psd_apply,
-                      schur_test_bound, submatrix, svd)
+from .matcore import (BlockPartition, MatrixError, NormBound, as_matrix,
+                      certified_norm, operator_norm, psd_apply, schur_test_bound)
 from .mmio import MatrixMarketError, read_matrix, write_matrix
 from .pipeline import (ApproxReport, PartitionPlan, PipelineError,
                        algorithm2, approximate, plan_partition)

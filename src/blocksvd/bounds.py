@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import (RANK_TOL, BlockPartition, MatrixError, SVDFactors, as_matrix,
-                      numerical_rank, operator_norm, submatrix, svd)
+from .matcore import (RANK_TOL, BlockPartition, MatrixError, as_matrix,
+                      numerical_rank, operator_norm)
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,13 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class SpectralPartition(BlockPartition):
-    """A BlockPartition that keeps the spectra the bound functions read,
-    each computed on first use: singular values and full SVD factors of R
-    and of R0, the spectra of B and C, and ||D||. Each bound function takes
-    one in place of a plain partition, so passing the same one to several
-    computes each spectrum once. It holds a read-only copy of the matrix,
-    so the spectra cannot go stale."""
+    """A BlockPartition that keeps what the bound functions read, each
+    computed on first use: one full ``np.linalg.svd`` of R and one of R0,
+    ``(u, s, vt)``, whose ``s`` are ``sigma_r`` and ``sigma_r0``; the
+    spectra of B and C; and ||D||. Each bound function takes one in place of
+    a plain partition, so passing the same one to several computes each
+    once. It holds a read-only copy of the matrix, so nothing can go
+    stale."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -66,24 +67,20 @@ class SpectralPartition(BlockPartition):
         object.__setattr__(self, "base", base)
 
     @cached_property
-    def r0(self) -> np.ndarray:
-        return self.zero_d()
+    def svd_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.base)
 
     @cached_property
+    def svd_r0(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.zero_d())
+
+    @property
     def sigma_r(self) -> np.ndarray:
-        return np.linalg.svd(self.base, compute_uv=False)
+        return self.svd_r[1]
 
-    @cached_property
+    @property
     def sigma_r0(self) -> np.ndarray:
-        return np.linalg.svd(self.r0, compute_uv=False)
-
-    @cached_property
-    def svd_r(self) -> SVDFactors:
-        return svd(self.base)
-
-    @cached_property
-    def svd_r0(self) -> SVDFactors:
-        return svd(self.r0)
+        return self.svd_r0[1]
 
     @cached_property
     def sigma_b(self) -> np.ndarray:
@@ -119,11 +116,9 @@ def weyl_gap_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
     tr0 = _sigma(p.sigma_r0, i + 1)   # ||R0 - R0_i||
     rep4 = BoundReport("Weyl-gap", i, p.k, lower=tr0 - nd, upper=tr0 + nd, oracle=tr)
     # Distance from R to the rank-i approximant of R0.
-    f = p.svd_r0
-    s_tr = np.zeros_like(p.r0)
-    idx = np.arange(min(i, f.sigma.size))
-    s_tr[idx, idx] = f.sigma[: i]
-    r0i = f.q.T @ s_tr @ f.qp.T
+    u0, s0, vt0 = p.svd_r0
+    top = s0[:i]
+    r0i = (u0[:, : top.size] * top) @ vt0[: top.size]
     cross = operator_norm(p.base - r0i)
     rep5 = BoundReport("Weyl-cross", i, p.k, lower=cross - 2 * nd,
                        upper=cross + 2 * nd, oracle=tr)
@@ -161,12 +156,13 @@ class MuQuantities:
         return max(self.mu_r, self.mu_r0)
 
 
-def _mu_slice(factors, d: np.ndarray, i: int, k: int, m: int, n: int) -> tuple[float, str]:
-    """min of the two slice norms for the gap at index i (slices from i on)."""
-    col_slice = submatrix(factors.qp, (k + 1, n), (i, n))
-    row_slice = submatrix(factors.q, (i, m), (k + 1, m))
-    by_cols = operator_norm(d @ col_slice)
-    by_rows = operator_norm(row_slice @ d)
+def _mu_slice(svd_factors, d: np.ndarray, i: int, k: int) -> tuple[float, str]:
+    """min of the two slice norms for the gap at index i (1-based; slices
+    from i on), ||D V[k:, i-1:]|| and ||U[k:, i-1:]^T D||, from the full SVD
+    factors ``(u, s, vt)`` of R or R0."""
+    u, _, vt = svd_factors
+    by_cols = operator_norm(d @ vt[i - 1 :, k:].T)
+    by_rows = operator_norm(u[k:, i - 1 :].T @ d)
     if by_cols <= by_rows:
         return by_cols, "columns"
     return by_rows, "rows"
@@ -183,9 +179,9 @@ def mu_bounds(p: BlockPartition, i: int) -> tuple[MuQuantities, BoundReport]:
     if not (1 <= i <= p.n):
         raise MatrixError(f"need 1 <= i <= n, got i={i}")
     p = _spectral(p)
-    m, n, k = p.m, p.n, p.k
-    mu_r, br = _mu_slice(p.svd_r, p.d, i, k, m, n)
-    mu_r0, br0 = _mu_slice(p.svd_r0, p.d, i, k, m, n)
+    k = p.k
+    mu_r, br = _mu_slice(p.svd_r, p.d, i, k)
+    mu_r0, br0 = _mu_slice(p.svd_r0, p.d, i, k)
     mq = MuQuantities(i=i, k=k, mu_r=mu_r, mu_r0=mu_r0, branch_r=br, branch_r0=br0)
     gap = abs(_sigma(p.sigma_r, i) - _sigma(p.sigma_r0, i))
     report = BoundReport("slice-mu", i, k, lower=0.0, upper=mq.mu_bar, oracle=gap)

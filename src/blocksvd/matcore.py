@@ -1,8 +1,9 @@
-"""Dense numerical substrate: SVD, norms, PSD matrix functions, slicing.
+"""Dense numerical substrate: input validation, block partitions, norms
+(exact, a certified upper bound for non-negative blocks, and the Schur
+test), numerical rank, and PSD matrix functions.
 
-All public slicing is 1-based inclusive. SVD factors are stored in the
-"diagonalizing" orientation ``q @ m @ qp == diag(sigma)`` so that slice
-formulas downstream can index the factors directly.
+Blocks are plain 0-based numpy slices; callers that need singular vectors
+take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-# Default tolerances, per dimension where noted.
-ORTH_TOL = 1e-12     # orthogonality: ||Q^T Q - I|| <= ORTH_TOL * dim
-RECON_TOL = 1e-10    # reconstruction: ||Q M Q' - diag(sigma)|| <= RECON_TOL * dim * ||M||
 SYM_TOL = 1e-10      # symmetry rejection threshold for psd_apply
 RANK_TOL = 1e-12     # numerical rank: singular values above RANK_TOL * sigma_1
 
@@ -92,46 +90,6 @@ class BlockPartition:
     def right_band(self) -> np.ndarray:
         """Last n - k columns."""
         return self.base[:, self.k :]
-
-
-class SVDConvergenceError(RuntimeError):
-    """SVD iteration failed; carries the residual achieved."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.residual = residual
-
-
-@dataclass(frozen=True)
-class SVDFactors:
-    """Orthogonal factors with q @ m @ qp = diag(sigma), sigma descending.
-
-    ``q`` is the transpose of the conventional left factor.
-    """
-
-    q: np.ndarray
-    qp: np.ndarray
-    sigma: np.ndarray
-
-    def reconstruction_residual(self, m: np.ndarray) -> float:
-        s = np.zeros(m.shape)
-        np.fill_diagonal(s, self.sigma)
-        return float(np.linalg.norm(self.q @ m @ self.qp - s, 2))
-
-    def orthogonality_residual(self) -> float:
-        rq = np.linalg.norm(self.q.T @ self.q - np.eye(self.q.shape[0]), 2)
-        rqp = np.linalg.norm(self.qp.T @ self.qp - np.eye(self.qp.shape[0]), 2)
-        return float(max(rq, rqp))
-
-
-def svd(m) -> SVDFactors:
-    """Full SVD in the orientation q @ m @ qp = diag(sigma)."""
-    a = as_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise SVDConvergenceError(f"SVD did not converge: {exc}", float("inf"))
-    return SVDFactors(q=u.T, qp=vt.T, sigma=s)
 
 
 def operator_norm(m) -> float:
@@ -280,17 +238,3 @@ def psd_apply(f: Callable[[np.ndarray], np.ndarray], s, sym_tol: float = SYM_TOL
     w = np.clip(w, 0.0, None)
     return (v * f(w)) @ v.T
 
-
-def submatrix(m, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
-    """1-based inclusive slice m[r1:r2, c1:c2]; empty if r1 > r2 or c1 > c2."""
-    a = as_matrix(m)
-    r1, r2 = rows
-    c1, c2 = cols
-    nr, nc = a.shape
-    if r1 < 1 or c1 < 1 or r2 > nr or c2 > nc:
-        raise MatrixError(
-            f"slice [{r1}:{r2},{c1}:{c2}] out of range for {nr}x{nc} matrix"
-        )
-    if r1 > r2 or c1 > c2:
-        return a[0:0, 0:0]
-    return a[r1 - 1 : r2, c1 - 1 : c2]

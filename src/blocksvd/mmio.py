@@ -181,17 +181,15 @@ def write_matrix(path, matrix, symmetric: bool = False,
         if a.shape[0] != a.shape[1] or not np.array_equal(a, a.T):
             raise MatrixError("symmetric output requires an exactly symmetric square matrix")
     rows, cols = a.shape
-    entries = []
-    for i in range(rows):
-        jmax = i + 1 if symmetric else cols
-        for j in range(jmax):
-            if a[i, j] != 0.0:
-                entries.append((i + 1, j + 1, a[i, j]))
+    stored = a != 0.0
+    if symmetric:
+        stored &= np.tri(rows, dtype=bool)
+    i, j = np.nonzero(stored)       # row-major order
     kind = "symmetric" if symmetric else "general"
     with open(path, "w") as fh:
         fh.write(f"{_HEADER} {kind}\n")
         for c in comments:
             fh.write(f"% {c}\n")
-        fh.write(f"{rows} {cols} {len(entries)}\n")
-        for i, j, v in entries:
-            fh.write(f"{i} {j} {v:.17g}\n")
+        fh.write(f"{rows} {cols} {i.size}\n")
+        fh.writelines(f"{row} {col} {v:.17g}\n" for row, col, v in
+                      zip((i + 1).tolist(), (j + 1).tolist(), a[i, j].tolist()))

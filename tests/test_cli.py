@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from blocksvd import bounds as bn
 from blocksvd import cli, mmio
 from blocksvd import pipeline as pl
+from blocksvd.matcore import MatrixError
 
 RNG = np.random.default_rng(321)
 
@@ -181,6 +183,49 @@ class TestParserReuse:
             out = tmp_path / f"reused{n}.json"
             assert (run(args + ["-o", out]), out.read_text()) == fresh[n]
         assert cli.build_parser.cache_info().misses == 1
+
+
+def with_entry(value: float) -> np.ndarray:
+    """A non-negative 12 x 8 matrix with ``value`` in its bottom-right block."""
+    r = np.abs(np.random.default_rng(5).standard_normal((12, 8)))
+    r[7, 6] = value
+    return r
+
+
+class TestNonFiniteInput:
+    """nan and inf entries are refused with MatrixError by every library
+    entry point, and with exit 2 by the commands, whichever reader path
+    parsed them."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [
+        lambda r: pl.approximate(r, k=3, i=2),
+        lambda r: pl.algorithm2(r, k=3, i=2),
+        lambda r: pl.plan_partition(r),
+        lambda r: bn.SpectralPartition(r, 3),
+    ], ids=["approximate", "algorithm2", "plan_partition", "SpectralPartition"])
+    def test_library_raises(self, call, value):
+        with pytest.raises(MatrixError, match="non-finite"):
+            call(with_entry(value))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("loop", [False, True], ids=["chunked", "line_loop"])
+    @pytest.mark.parametrize("command", [["approx", "--k", 3, "--i", 2], ["bounds", "--k", 3]],
+                             ids=["approx", "bounds"])
+    def test_command_exits_2(self, tmp_path, monkeypatch, capsys, command, loop, value):
+        path = tmp_path / "r.mtx"
+        mmio.write_matrix(path, with_entry(value))
+        lines = path.read_text().splitlines(keepends=True)
+        assert any(ln.split()[-1] in ("nan", "inf", "-inf") for ln in lines[2:])
+        if loop:  # a comment between entries sends the file to the line loop
+            lines.insert(3, "% interior comment\n")
+            path.write_text("".join(lines))
+        looped = []
+        real_loop = mmio._read_by_lines
+        monkeypatch.setattr(mmio, "_read_by_lines", lambda p: looped.append(p) or real_loop(p))
+        assert run([command[0], path] + command[1:]) == 2
+        assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+        assert len(looped) == int(loop)
 
 
 class TestDeterminism:

@@ -52,35 +52,6 @@ class TestBlockPartition:
             mc.BlockPartition(np.ones((3, 5)), 2)
 
 
-class TestSVD:
-    def test_identity(self):
-        np.testing.assert_allclose(mc.svd(np.eye(3)).sigma, np.ones(3))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(mc.svd(np.diag([3.0, 2.0, 1.0])).sigma, [3, 2, 1])
-
-    def test_golden_ratio_values(self):
-        f = mc.svd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(f.sigma, [GOLDEN, GOLDEN - 1.0], atol=1e-12)
-
-    def test_orientation_diagonalizes(self):
-        # factors are stored so that q @ m @ qp is the diagonal itself
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((6, 4))
-        f = mc.svd(m)
-        d = f.q @ m @ f.qp
-        np.testing.assert_allclose(np.diag(d)[:4], f.sigma, atol=1e-12)
-        assert f.reconstruction_residual(m) <= 1e-12 * mc.operator_norm(m) * 6
-
-    @settings(max_examples=60, deadline=None)
-    @given(finite_matrices)
-    def test_residuals_bounded(self, m):
-        f = mc.svd(m)
-        dim = max(m.shape)
-        assert f.orthogonality_residual() <= 1e-12 * dim
-        assert f.reconstruction_residual(m) <= 1e-10 * dim * max(mc.operator_norm(m), 1.0)
-
-
 class TestNorms:
     def test_operator_norm_cases(self):
         assert mc.operator_norm(np.zeros((2, 3))) == 0.0
@@ -206,26 +177,6 @@ class TestPsdApply:
         out = mc.psd_apply(f, s)
         want = np.sort(f(np.linalg.eigvalsh(s)))[::-1]
         np.testing.assert_allclose(np.linalg.svd(out, compute_uv=False), want, atol=1e-10)
-
-
-class TestSubmatrix:
-    def test_full_range_is_identity(self):
-        m = np.arange(12, dtype=float).reshape(3, 4)
-        np.testing.assert_array_equal(mc.submatrix(m, (1, 3), (1, 4)), m)
-
-    def test_one_based_inclusive(self):
-        np.testing.assert_array_equal(mc.submatrix(np.eye(3), (2, 3), (2, 3)), np.eye(2))
-
-    def test_against_direct_indexing(self):
-        m = np.arange(16, dtype=float).reshape(4, 4)
-        np.testing.assert_array_equal(mc.submatrix(m, (2, 4), (1, 3)), m[1:4, 0:3])
-
-    def test_empty_when_reversed(self):
-        assert mc.submatrix(np.eye(3), (3, 2), (1, 3)).size == 0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(mc.MatrixError):
-            mc.submatrix(np.eye(3), (1, 4), (1, 3))
 
 
 class TestSpectralInequalities:

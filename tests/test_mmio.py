@@ -179,17 +179,69 @@ sparse_matrices = arrays(
     elements=st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False)))
 
 
+def write_by_cells(path, a, symmetric=False, comments=()):
+    """The writer's former body, a Python loop over every cell, kept as the
+    byte-for-byte reference for ``mmio.write_matrix``."""
+    rows, cols = a.shape
+    entries = []
+    for i in range(rows):
+        jmax = i + 1 if symmetric else cols
+        for j in range(jmax):
+            if a[i, j] != 0.0:
+                entries.append((i + 1, j + 1, a[i, j]))
+    kind = "symmetric" if symmetric else "general"
+    with open(path, "w") as fh:
+        fh.write(f"{mmio._HEADER} {kind}\n")
+        for c in comments:
+            fh.write(f"% {c}\n")
+        fh.write(f"{rows} {cols} {len(entries)}\n")
+        for i, j, v in entries:
+            fh.write(f"{i} {j} {v:.17g}\n")
+
+
+def mostly_zero(m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.03)
+    a[0, -1], a[-1, 0] = -0.0, 5e-324     # a signed zero and a subnormal
+    return a
+
+
+def symmetric_of(a):
+    side = min(a.shape)
+    low = np.tril(a[:side, :side])
+    return low + np.tril(low, -1).T
+
+
+class TestWriterMatchesCellLoop:
+    @pytest.mark.parametrize("name, a, symmetric, comments", [
+        ("general", RNG.standard_normal((7, 5)), False, ()),
+        ("symmetric", symmetric_of(RNG.standard_normal((6, 6))), True, ()),
+        ("commented", RNG.standard_normal((4, 6)), False, ("first", "second line")),
+        ("mostly_zero", mostly_zero(40, 30, 1), False, ()),
+        ("mostly_zero_symmetric", symmetric_of(mostly_zero(30, 30, 2)), True, ("c",)),
+        ("all_zero", np.zeros((3, 4)), False, ()),
+        ("one_by_one", np.array([[-2.5]]), True, ()),
+        ("non_finite", np.array([[np.nan, 0.0], [np.inf, -np.inf]]), False, ()),
+    ])
+    def test_same_bytes(self, tmp_path, name, a, symmetric, comments):
+        got, want = tmp_path / "got.mtx", tmp_path / "want.mtx"
+        mmio.write_matrix(got, a, symmetric=symmetric, comments=comments)
+        write_by_cells(want, a, symmetric=symmetric, comments=comments)
+        assert got.read_bytes() == want.read_bytes()
+
+
 class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(m=sparse_matrices, symmetric=st.booleans())
     def test_write_read_bit_identical(self, tmp_path, m, symmetric):
         if symmetric:
-            side = min(m.shape)
-            m = np.tril(m[:side, :side]) + np.tril(m[:side, :side], -1).T
+            m = symmetric_of(m)
         path = tmp_path / "h.mtx"
         mmio.write_matrix(path, m, symmetric=symmetric)
         got = mmio.read_matrix(path)
         # -0.0 is not stored, so it reads back as +0.0.
         assert got.tobytes() == (m + 0.0).tobytes()
         assert got.tobytes() == mmio._read_by_lines(path).tobytes()
+        write_by_cells(tmp_path / "ref.mtx", m, symmetric=symmetric)
+        assert path.read_bytes() == (tmp_path / "ref.mtx").read_bytes()

@@ -167,10 +167,11 @@ class TestAlgorithm2:
         norm_r = np.linalg.norm(r, 2)
         assert rep.error_bound <= 0.021 * norm_r  # 2 * 0.01 plus rounding
 
-    def test_singular_pivot_shrinks_with_warning(self):
+    def test_ill_conditioned_pivot_keeps_requested_k(self):
         rng = np.random.default_rng(14)
         r = planted_low_rank(30, 20, 4, 0.01, rng)
-        # make the would-be 6x6 pivot singular; rank content stops at 4
+        # the 6x6 pivot reaches past the rank-4 content, so it is nearly
+        # singular (sigma_min(A) is about 4e-4 ||R||); the split stays at 6
         rep = pl.algorithm2(r, k=6, i=3, oracle=True)
         assert rep.k == 6
 
@@ -214,17 +215,17 @@ def empty_row_pivot():
 class TestDirectMatchesRotations:
     """The factored R0 solve against the block-rotation reference path."""
 
-    @pytest.mark.parametrize("name, r, k, i, want_k, want_warnings", [
+    @pytest.mark.parametrize("name, r, k, i, want_k", [
         ("tall", planted_low_rank(120, 30, 6, 0.01, np.random.default_rng(16)),
-         6, 4, 6, []),
+         6, 4, 6),
         ("square_2k_ge_n", planted_low_rank(80, 80, 40, 0.01, np.random.default_rng(18)),
-         40, 5, 40, []),
+         40, 5, 40),
         ("tall_2k_ge_n", planted_low_rank(30, 20, 12, 0.01, np.random.default_rng(19)),
-         12, 4, 12, []),
+         12, 4, 12),
         ("zero_d", planted_low_rank(30, 20, 5, 0.0, np.random.default_rng(20)),
-         5, 5, 5, []),
+         5, 5, 5),
     ])
-    def test_same_report(self, name, r, k, i, want_k, want_warnings):
+    def test_same_report(self, name, r, k, i, want_k):
         rep = pl.algorithm2(r, k=k, i=i)
         assert rep.k == want_k
         p = BlockPartition(r, rep.k)
