@@ -18,7 +18,7 @@ sizes = np.array([8.0, 12.0, 20.0, 5.0, 30.0])
 profile = ColumnProfile(m=m, sizes=sizes, norms=np.sqrt(sizes),
                         L=int(sizes.max()))
 print("structural conditions:")
-for item in check_S1(profile).items:
+for item in check_S1(profile).checks:
     print(f"  {item.name:<24} {'pass' if item.passed else 'FAIL'} "
           f"(margin {item.margin:+.3f})")
 

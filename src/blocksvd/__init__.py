@@ -9,19 +9,18 @@ approximation pipeline (``pipeline``) with Matrix Market I/O (``mmio``)
 and a CLI (``cli``).
 """
 
-from .blockdiag import (BlockDiagResult, GapCertificate, Lemma11Report,
-                        SweepRecord, SweepTrace, block_diagonalize,
-                        check_lemma11, kyfan_column_bounds,
-                        top_singular_values)
+from .blockdiag import (BlockDiagResult, GapCertificate, SweepRecord,
+                        SweepTrace, block_diagonalize, check_lemma11,
+                        kyfan_column_bounds, top_singular_values)
 from .bounds import (BoundReport, MuQuantities, SpectralPartition,
                      Theorem2Inputs, example1_sigma2, kernel_restricted_norm,
                      mu_bounds, small_rank_bounds, theorem2_bounds, weyl_gap_bounds)
-from .givens import (BlockGivens, BlockRotationFactors, BlockTrig,
-                     SingularBlockError, block_rotation_decompose,
-                     block_trig, build_left_rotation, build_right_rotation,
-                     householder_block, rotation_weight)
-from .matcore import (BlockPartition, MatrixError, NormBound, as_matrix,
-                      certified_norm, operator_norm, psd_apply, schur_test_bound)
+from .givens import (BlockGivens, BlockRotationFactors, SingularBlockError,
+                     block_rotation_decompose, block_trig, build_left_rotation,
+                     build_right_rotation, householder_block, rotation_weight)
+from .matcore import (BlockPartition, CheckItem, CheckReport, MatrixError,
+                      NormBound, as_matrix, certified_norm, operator_norm,
+                      psd_apply, schur_test_bound)
 from .mmio import MatrixMarketError, read_matrix, write_matrix
 from .pipeline import (ApproxReport, PartitionPlan, PipelineError,
                        algorithm2, approximate, plan_partition)

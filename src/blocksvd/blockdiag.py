@@ -9,12 +9,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import BlockPartition, MatrixError, as_matrix, operator_norm
+from .matcore import (BlockPartition, CheckItem, CheckReport, MatrixError, as_matrix,
+                      operator_norm)
 from .givens import BlockGivens, SingularBlockError, _build_rotation
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 REORTH_DRIFT = 1e-10
+LEMMA11_TOL = 1e-9      # slack of every Lemma 11 check
+KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins
 
 
 @dataclass(frozen=True)
@@ -154,17 +157,14 @@ def _accumulate(rotations: list[BlockGivens], side: str, dim: int) -> np.ndarray
 
 
 def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      first: str = "left") -> BlockDiagResult:
+                      max_iter: int = DEFAULT_MAX_ITER) -> BlockDiagResult:
     """Alternate left/right rotations until both off-blocks are annihilated.
 
-    The first step eliminates C (left rotation) by default. Stops when
+    The first step eliminates C (left rotation). Stops when
     max(||B_t||, ||C_t||) <= tol * ||R||; raises PivotSingularError if the
     pivot block degenerates mid-run. Each rotation acts on the iterate
     through its rank-r coupling, r <= k, never as a dense product.
     """
-    if first not in ("left", "right"):
-        raise ValueError("first must be 'left' or 'right'")
     k = p.k
     spectrum = np.linalg.svd(p.base, compute_uv=False)
     scale = float(spectrum[0])    # operator_norm(p.base), bit for bit
@@ -176,7 +176,7 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
     converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
     t = 0
     while not converged and t < max_iter:
-        side = ("left", "right")[t % 2] if first == "left" else ("right", "left")[t % 2]
+        side = ("left", "right")[t % 2]
         try:
             g = _build_rotation(cur, side, rec.sigma_a)
         except SingularBlockError as exc:
@@ -197,32 +197,10 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
                            rotations=rotations, spectrum=spectrum)
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    margin: float
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed), "margin": float(self.margin)}
-
-
-@dataclass
-class Lemma11Report:
-    checks: list[CheckItem]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"all_passed": self.all_passed,
-                "checks": [c.to_json() for c in self.checks]}
-
-
-def check_lemma11(trace: SweepTrace, tol: float = 1e-9) -> Lemma11Report:
+def check_lemma11(trace: SweepTrace) -> CheckReport:
     """Diagnostic report on monotonicity, band preservation, contraction and
-    gap preservation along a sweep trace. Always returns; never raises."""
+    gap preservation along a sweep trace, each within LEMMA11_TOL. Always
+    returns; never raises."""
     recs = trace.records
     checks: list[CheckItem] = []
     # (i) singular values of the pivot block never decrease
@@ -231,7 +209,7 @@ def check_lemma11(trace: SweepTrace, tol: float = 1e-9) -> Lemma11Report:
     for prev, nxt in zip(recs, recs[1:]):
         margin = float(np.min(nxt.sigma_a - prev.sigma_a))
         worst = min(worst, margin)
-        if margin < -tol:
+        if margin < -LEMMA11_TOL:
             ok = False
     checks.append(CheckItem("i_pivot_monotone", ok, worst if recs[1:] else 0.0))
     # (ii) first left step zeroes C and preserves the left-band spectrum
@@ -239,12 +217,13 @@ def check_lemma11(trace: SweepTrace, tol: float = 1e-9) -> Lemma11Report:
         r1 = recs[1]
         c_zero = r1.norm_c
         spec_dev = float(np.max(np.abs(r1.sigma_a - recs[0].sigma_left_band[:len(r1.sigma_a)])))
-        passed = c_zero <= tol and spec_dev <= tol * max(recs[0].norm_a, 1.0)
+        passed = c_zero <= LEMMA11_TOL and spec_dev <= LEMMA11_TOL * max(recs[0].norm_a, 1.0)
         checks.append(CheckItem("ii_first_step", passed, -max(c_zero, spec_dev)))
     # (iii) right-band norm unchanged by the first (left) step
     if len(recs) >= 2:
         dev = abs(recs[1].norm_right_band - recs[0].norm_right_band)
-        checks.append(CheckItem("iii_right_band_norm", dev <= tol * max(recs[0].norm_right_band, 1.0), -dev))
+        passed = dev <= LEMMA11_TOL * max(recs[0].norm_right_band, 1.0)
+        checks.append(CheckItem("iii_right_band_norm", passed, -dev))
     # (iv) contraction factors, checked from each recorded t >= 1
     worst = np.inf
     ok = True
@@ -255,7 +234,7 @@ def check_lemma11(trace: SweepTrace, tol: float = 1e-9) -> Lemma11Report:
             bound_d = prev.norm_d / np.sqrt(1.0 + (off / prev.norm_a) ** 2)
             margin = float(bound_d - nxt.norm_d)
             worst = min(worst, margin)
-            if margin < -tol:
+            if margin < -LEMMA11_TOL:
                 ok = False
         # new off-block: (sigma_k^2 + off^2)^(-1/2) * off * ||D||
         denom = np.sqrt(prev.sigma_k_a**2 + off**2)
@@ -264,7 +243,7 @@ def check_lemma11(trace: SweepTrace, tol: float = 1e-9) -> Lemma11Report:
             new_off = nxt.norm_c if prev.norm_b >= prev.norm_c else nxt.norm_b
             margin = float(bound_off - new_off)
             worst = min(worst, margin)
-            if margin < -tol:
+            if margin < -LEMMA11_TOL:
                 ok = False
     checks.append(CheckItem("iv_contraction", ok, worst if recs[2:] else 0.0))
     # (v) gap preservation once it holds at t = 0
@@ -276,10 +255,10 @@ def check_lemma11(trace: SweepTrace, tol: float = 1e-9) -> Lemma11Report:
         for i in gap_idx:
             margin = float(rec.sigma_left_band[i] - rec.norm_right_band)
             worst = min(worst, margin)
-            if margin < -tol:
+            if margin < -LEMMA11_TOL:
                 ok = False
     checks.append(CheckItem("v_gap_preserved", ok, worst if recs[1:] and gap_idx else 0.0))
-    return Lemma11Report(checks)
+    return CheckReport(checks)
 
 
 @dataclass(frozen=True)
@@ -316,8 +295,7 @@ def _gap_certificate(p: BlockPartition, i: int, right: np.ndarray) -> GapCertifi
                           certified=bool(sig_left[i - 1] >= norm_right))
 
 
-def top_singular_values(p: BlockPartition, i: int, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER):
+def top_singular_values(p: BlockPartition, i: int):
     """Top i singular values of R via block diagonalization.
 
     Returns (values, certificate, result). The certificate is
@@ -325,7 +303,7 @@ def top_singular_values(p: BlockPartition, i: int, tol: float = DEFAULT_TOL,
     uncertified.
     """
     cert = gap_certificate(p, i)
-    res = block_diagonalize(p, tol=tol, max_iter=max_iter)
+    res = block_diagonalize(p)
     values = np.linalg.svd(res.a_inf, compute_uv=False)[:i]
     return values, cert, res
 
@@ -335,11 +313,10 @@ class KyFanReport:
     i: int
     head_margin: float   # sum_{j<=i} sigma_j^2 - sum_{j<=i} ||v_j||^2 >= 0
     tail_margin: float   # sum_{j>i} ||v_j||^2 - sum_{j>i} sigma_j^2 >= 0
-    tol: float = 1e-10
 
     @property
     def holds(self) -> bool:
-        return self.head_margin >= -self.tol and self.tail_margin >= -self.tol
+        return self.head_margin >= -KYFAN_TOL and self.tail_margin >= -KYFAN_TOL
 
 
 def kyfan_column_bounds(y, i: int) -> KyFanReport:

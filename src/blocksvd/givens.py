@@ -21,6 +21,8 @@ import numpy as np
 from .matcore import BlockPartition, MatrixError, as_matrix, numerical_rank, operator_norm
 
 SINGULARITY_TOL = 1e-13  # relative floor on sigma_min(A)
+ORTH_TOL = 1e-10         # block_rotation_decompose: ||Q^T Q - I|| per dimension
+TRIG_TOL = 1e-12         # block_rotation_decompose: sines above this are non-trivial
 
 
 class SingularBlockError(MatrixError):
@@ -29,24 +31,6 @@ class SingularBlockError(MatrixError):
     def __init__(self, sigma_min: float):
         super().__init__(f"pivot block is numerically singular (sigma_min={sigma_min:.3e})")
         self.sigma_min = sigma_min
-
-
-@dataclass(frozen=True)
-class BlockTrig:
-    """Trig blocks of a right rotation for the pair (A, B).
-
-    cos_ab is k x k, cos_ba is (n-k) x (n-k), sin_ab is k x (n-k). b0 is the
-    PSD radial part and q_b the angular part of the polar decomposition
-    b0 @ q_b = A^{-1}B (q_b has orthonormal rows or columns, whichever the
-    shape admits).
-    """
-
-    cos_ab: np.ndarray
-    cos_ba: np.ndarray
-    sin_ab: np.ndarray
-    b0: np.ndarray
-    q_b: np.ndarray
-    ratio_sigma: np.ndarray  # singular values of A^{-1}B
 
 
 @dataclass(frozen=True)
@@ -61,8 +45,12 @@ class BlockGivens:
     rotation annihilates, as it was. ``degenerate`` marks an identity
     rotation (the off-block was already zero).
 
-    ``matrix``, the dense dim x dim rotation, and ``off_rank``, the
-    numerical rank of ``off_block``, are computed on first access.
+    The paper's trig blocks are ``cos_ab`` (k x k), ``cos_ba``
+    ((dim-k) x (dim-k)) and ``sin_ab`` (k x (dim-k)); a right rotation is
+    [[cos_ab, -sin_ab], [sin_ab^T, cos_ba]], and a left one the transpose
+    of the right rotation of (A^T, C^T). ``matrix``, the dense dim x dim
+    rotation, and ``off_rank``, the numerical rank of ``off_block``, are
+    computed on first access.
     """
 
     side: str
@@ -86,6 +74,21 @@ class BlockGivens:
         hu, tv = head @ self.u, tail @ self.v
         head += (tv * s - hu * omc) @ self.u.T
         tail -= (hu * s + tv * omc) @ self.v.T
+
+    @property
+    def cos_ab(self) -> np.ndarray:
+        _, _, omc = _trig(self.ratio_sigma)
+        return np.eye(self.k) - (self.u * omc) @ self.u.T
+
+    @property
+    def cos_ba(self) -> np.ndarray:
+        _, _, omc = _trig(self.ratio_sigma)
+        return np.eye(self.dim - self.k) - (self.v * omc) @ self.v.T
+
+    @property
+    def sin_ab(self) -> np.ndarray:
+        _, s, _ = _trig(self.ratio_sigma)
+        return (self.u * s) @ self.v.T
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -149,8 +152,9 @@ def _trig(sig: np.ndarray):
     return c, s, s * s / (1.0 + c)
 
 
-def block_trig(a, b) -> BlockTrig:
-    """Closed-form trig blocks for the pair (A, B), A invertible k x k."""
+def block_trig(a, b) -> BlockGivens:
+    """Right rotation for the pair (A, B), A invertible k x k; its trig
+    blocks are ``cos_ab``, ``cos_ba`` and ``sin_ab``."""
     a = as_matrix(a)
     b = as_matrix(b)
     k = a.shape[0]
@@ -158,25 +162,18 @@ def block_trig(a, b) -> BlockTrig:
         raise MatrixError(f"A must be square, got {a.shape}")
     if b.shape[0] != k:
         raise MatrixError(f"B must have {k} rows, got {b.shape}")
-    _check_pivot(np.linalg.svd(a, compute_uv=False))
-    u, sig, v = _ratio_svd(a, b)
-    _, s, omc = _trig(sig)
-    return BlockTrig(cos_ab=np.eye(k) - (u * omc) @ u.T,
-                     cos_ba=np.eye(b.shape[1]) - (v * omc) @ v.T,
-                     sin_ab=(u * s) @ v.T, b0=(u * sig) @ u.T, q_b=u @ v.T,
-                     ratio_sigma=sig)
+    sigma_a = np.linalg.svd(a, compute_uv=False)
+    _check_pivot(sigma_a)
+    return _rotation("right", a, b, b, k + b.shape[1], sigma_a)
 
 
-def _build_rotation(p: BlockPartition, side: str, sigma_a=None) -> BlockGivens:
-    """Rotation of ``side`` for p. The singularity test on A uses sigma_a,
-    the spectrum of p.a when the caller has it, and runs only when the
-    off-block is nonzero."""
-    k = p.k
-    if side == "right":
-        a, off, off_block, dim = p.a, p.b, p.b, p.n
-    else:
-        # (C A^{-1})^T = A^{-T} C^T: the transposed pair (A^T, C^T).
-        a, off, off_block, dim = p.a.T, p.c.T, p.c, p.m
+def _rotation(side: str, a: np.ndarray, off: np.ndarray, off_block: np.ndarray,
+              dim: int, sigma_a=None) -> BlockGivens:
+    """Rotation of ``side`` and order ``dim`` from the thin SVD of
+    a^{-1} off, recording ``off_block`` as the block it annihilates. The
+    singularity test on a uses sigma_a, the spectrum of a when the caller
+    has it, and runs only when off is nonzero."""
+    k = a.shape[0]
     if not off.any():
         r = min(k, dim - k)
         return BlockGivens(side=side, k=k, dim=dim, u=np.zeros((k, r)),
@@ -186,6 +183,14 @@ def _build_rotation(p: BlockPartition, side: str, sigma_a=None) -> BlockGivens:
     u, sig, v = _ratio_svd(a, off)
     return BlockGivens(side=side, k=k, dim=dim, u=u, v=v, ratio_sigma=sig,
                        off_block=off_block.copy(), degenerate=False)
+
+
+def _build_rotation(p: BlockPartition, side: str, sigma_a=None) -> BlockGivens:
+    """Rotation of ``side`` for p; sigma_a as in ``_rotation``."""
+    if side == "right":
+        return _rotation(side, p.a, p.b, p.b, p.n, sigma_a)
+    # (C A^{-1})^T = A^{-T} C^T: the transposed pair (A^T, C^T).
+    return _rotation(side, p.a.T, p.c.T, p.c, p.m, sigma_a)
 
 
 def build_right_rotation(p: BlockPartition) -> BlockGivens:
@@ -201,26 +206,18 @@ def build_left_rotation(p: BlockPartition) -> BlockGivens:
 def householder_block(a: float, v) -> np.ndarray:
     """Orthogonal matrix mapping (a, v) to (sqrt(a^2 + ||v||^2), 0, ..., 0).
 
-    The k = 1 special case of a right rotation pair.
+    The k = 1 case of a right rotation: the transpose of the rotation of
+    the pair ([a], v^T), with row 0 negated when a < 0.
     """
     if a == 0:
         raise MatrixError("householder_block requires a != 0")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.ndim != 1:
         raise MatrixError("v must be a vector")
-    w = (v / a).reshape(1, -1)
-    nv = np.linalg.norm(w)
-    c = 1.0 / np.sqrt(1.0 + nv**2)
-    p = w.shape[1]
-    h = np.empty((p + 1, p + 1))
-    h[0, 0] = c
-    h[0, 1:] = c * w
-    h[1:, 0] = -c * w
-    # (I + w w^T)^{-1/2} = I - (1 - c) w w^T / ||w||^2  (rank-one update)
-    if nv > 0:
-        h[1:, 1:] = np.eye(p) - ((1.0 - c) / nv**2) * (w.T @ w)
-    else:
-        h[1:, 1:] = np.eye(p)
+    if not (np.isfinite(a) and np.isfinite(v).all()):
+        raise MatrixError("householder_block needs finite a and v")
+    h = _rotation("right", np.array([[float(a)]]), v[None, :], v[None, :],
+                  v.size + 1).matrix.T
     if a < 0:
         h[0, :] = -h[0, :]
     return h
@@ -243,8 +240,7 @@ def rotation_weight(g: BlockGivens) -> float:
     return float(max(1.0 / np.sqrt(1.0 + s_r**2), s_1 / np.sqrt(1.0 + s_1**2)))
 
 
-def block_rotation_decompose(q, k: int, orth_tol: float = 1e-10,
-                             trig_tol: float = 1e-12) -> BlockRotationFactors:
+def block_rotation_decompose(q, k: int) -> BlockRotationFactors:
     """CS-type decomposition of a square orthogonal matrix at split k.
 
     Returns block-diagonal orthogonal side factors and the diagonal
@@ -258,7 +254,7 @@ def block_rotation_decompose(q, k: int, orth_tol: float = 1e-10,
     if not (1 <= k < n):
         raise MatrixError(f"split k={k} out of range for n={n}")
     dev = operator_norm(q.T @ q - np.eye(n))
-    if dev > orth_tol * n:
+    if dev > ORTH_TOL * n:
         raise MatrixError(f"input is not orthogonal within tolerance (deviation {dev:.3e})")
     import scipy.linalg  # imported here: slow to load, and only this function uses it
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(q, p=k, q=k, separate=True)
@@ -274,7 +270,7 @@ def block_rotation_decompose(q, k: int, orth_tol: float = 1e-10,
     middle = left.T @ q @ right.T
     cos_all = np.cos(theta)
     sin_all = np.sin(theta)
-    nontrivial = sin_all > trig_tol
+    nontrivial = sin_all > TRIG_TOL
     c = cos_all[nontrivial]
     s = sin_all[nontrivial]
     r = k - int(np.count_nonzero(nontrivial))

@@ -1,6 +1,7 @@
 """Dense numerical substrate: input validation, block partitions, norms
 (exact, a certified upper bound for non-negative blocks, and the Schur
-test), numerical rank, and PSD matrix functions.
+test), numerical rank, PSD matrix functions, and the named-check report
+that the Lemma 11 and condition (S1) diagnostics return.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -19,6 +20,33 @@ RANK_TOL = 1e-12     # numerical rank: singular values above RANK_TOL * sigma_1
 
 class MatrixError(ValueError):
     """Raised on malformed matrix inputs (shape, non-finite entries, ranges)."""
+
+
+@dataclass(frozen=True)
+class CheckItem:
+    """One named check: whether it passed and its signed margin."""
+
+    name: str
+    passed: bool
+    margin: float
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "passed": bool(self.passed), "margin": float(self.margin)}
+
+
+@dataclass
+class CheckReport:
+    """A list of named checks; passes when every one does."""
+
+    checks: list[CheckItem]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def to_json(self) -> dict:
+        return {"all_passed": self.all_passed,
+                "checks": [c.to_json() for c in self.checks]}
 
 
 def as_matrix(m) -> np.ndarray:
@@ -221,7 +249,7 @@ def schur_test_bound(m) -> float:
     return float(np.sqrt(row * col))
 
 
-def psd_apply(f: Callable[[np.ndarray], np.ndarray], s, sym_tol: float = SYM_TOL) -> np.ndarray:
+def psd_apply(f: Callable[[np.ndarray], np.ndarray], s) -> np.ndarray:
     """Apply a scalar function to a symmetric PSD matrix spectrally.
 
     Returns V f(L) V^T from the eigendecomposition S = V L V^T. Small
@@ -232,7 +260,7 @@ def psd_apply(f: Callable[[np.ndarray], np.ndarray], s, sym_tol: float = SYM_TOL
         raise MatrixError(f"psd_apply needs a square matrix, got {a.shape}")
     asym = np.abs(a - a.T).max()
     scale = max(np.abs(a).max(), 1.0)
-    if asym > sym_tol * scale:
+    if asym > SYM_TOL * scale:
         raise MatrixError(f"matrix is not symmetric within tolerance (deviation {asym:.3e})")
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     w = np.clip(w, 0.0, None)

@@ -20,6 +20,12 @@ refused file goes to the per-line loop, which either names its first bad
 line or, for spellings Python accepts and numpy does not (``1_0``, comment
 lines between entries), returns the same matrix. The fast path accepts no
 file the loop would reject, and both return the same bits.
+
+Both paths read UTF-8 whatever the locale. A byte that is not UTF-8 (a
+compressed or binary file, a Latin-1 character) makes the fast path refuse
+the file, and reaches the loop's checks as a lone surrogate, which no
+header, size or entry check accepts, so the line it sits on is named as
+malformed; in a comment line it is ignored like any other comment text.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 class MatrixMarketError(MatrixError):
     """Malformed Matrix Market content; message carries the line number."""
+
+
+def _open(path):
+    """The file as UTF-8 text, with undecodable bytes kept as surrogates."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def _fail(lineno: int, msg: str):
@@ -82,7 +93,7 @@ def _read_header(fh) -> tuple[bool, int, int, int, int]:
 
 def _read_by_lines(path) -> np.ndarray:
     """Per-line reader for the files the fast path of ``read_matrix`` refuses."""
-    with open(path, "r") as fh:
+    with _open(path) as fh:
         symmetric, rows, cols, nnz, size_line = _read_header(fh)
         out = np.zeros((rows, cols))
         seen = set()
@@ -124,7 +135,7 @@ def read_matrix(path) -> np.ndarray:
     """
     import warnings  # already loaded by the interpreter; no import cost
 
-    with open(path, "r") as fh:
+    with _open(path) as fh:
         symmetric, rows, cols, nnz, size_line = _read_header(fh)
     if isinstance(path, os.PathLike):
         path = os.fspath(path)
@@ -139,7 +150,7 @@ def read_matrix(path) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             entries = np.loadtxt(path, dtype=_ENTRY, comments=None, ndmin=1,
-                                 skiprows=size_line)
+                                 skiprows=size_line, encoding="utf-8")
     except (ValueError, Warning):
         return _read_by_lines(path)
     i, j, v = entries["i"], entries["j"], entries["v"]

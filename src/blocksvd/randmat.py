@@ -14,14 +14,16 @@ streams derived from (seed, *key) so every draw is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundReport
-from .matcore import MatrixError
+from .matcore import CheckItem, CheckReport, MatrixError
 
 DEFAULT_SLACK_C = 4.0    # multiplier on the L/m slack terms
+BAND_CONST_C = 2.0       # constant of the fluctuation band c sqrt((k-1)/(m-1)) r0^2
+MAX_DRAWS = 10**4        # rejection draws per column before SamplerStarvation
 SIZE_TOL = 1e-12
 SUPPORT_TOL = 1e-12      # entries above this count as nonzero for L
 
@@ -156,56 +158,34 @@ def derived_stats(profile: ColumnProfile) -> DerivedStats:
     )
 
 
-@dataclass(frozen=True)
-class ConditionItem:
-    name: str
-    passed: bool
-    margin: float
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed), "margin": float(self.margin)}
-
-
-@dataclass
-class S1Report:
-    items: list[ConditionItem]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(it.passed for it in self.items)
-
-    def to_json(self) -> dict:
-        return {"all_passed": self.all_passed, "items": [it.to_json() for it in self.items]}
-
-
-def check_S1(profile: ColumnProfile) -> S1Report:
+def check_S1(profile: ColumnProfile) -> CheckReport:
     """Structural conditions: squared norms dominate sizes, bounded maximal
     size, and a moment-ratio cap on the size-to-squared-norm sequence.
     Consequence inequalities are reported alongside."""
-    items: list[ConditionItem] = []
+    checks: list[CheckItem] = []
     w = profile.sq_norms()
     margin_i = float(np.min(w - profile.sizes))
-    items.append(ConditionItem("sq_norm_ge_size", margin_i >= -SIZE_TOL, margin_i))
+    checks.append(CheckItem("sq_norm_ge_size", margin_i >= -SIZE_TOL, margin_i))
     margin_ii = float(profile.m - profile.c_max)
-    items.append(ConditionItem("max_size_le_m", margin_ii >= 0, margin_ii))
+    checks.append(CheckItem("max_size_le_m", margin_ii >= 0, margin_ii))
     xi = profile.xi()
     rho_e = moment_ratio(xi)
     cap = 1.0 + profile.m / (profile.c_max * profile.k)
-    items.append(ConditionItem("xi_moment_ratio_cap", rho_e <= cap + SIZE_TOL, float(cap - rho_e)))
+    checks.append(CheckItem("xi_moment_ratio_cap", rho_e <= cap + SIZE_TOL, float(cap - rho_e)))
     # consequences of the conditions above
     margin = float(1.0 - xi.max())
-    items.append(ConditionItem("xi_le_one", margin >= -SIZE_TOL, margin))
+    checks.append(CheckItem("xi_le_one", margin >= -SIZE_TOL, margin))
     norm_e = float(np.linalg.norm(xi))
-    items.append(ConditionItem("xi_norm_le_sqrt_k", norm_e <= np.sqrt(profile.k) + SIZE_TOL,
-                               float(np.sqrt(profile.k) - norm_e)))
+    checks.append(CheckItem("xi_norm_le_sqrt_k", norm_e <= np.sqrt(profile.k) + SIZE_TOL,
+                            float(np.sqrt(profile.k) - norm_e)))
     ratio = profile.sizes**2 / (profile.m * w)
     margin = float(profile.L / profile.m - ratio.max())
-    items.append(ConditionItem("size_sq_ratio_le_L_over_m", margin >= -SIZE_TOL, margin))
+    checks.append(CheckItem("size_sq_ratio_le_L_over_m", margin >= -SIZE_TOL, margin))
     xi2 = float(np.sqrt(np.mean(xi**2)))
     lhs = float(np.sum((xi2 - xi) * profile.sizes))
-    items.append(ConditionItem("weighted_gap_sum_le_m", lhs <= profile.m + SIZE_TOL,
-                               float(profile.m - lhs)))
-    return S1Report(items)
+    checks.append(CheckItem("weighted_gap_sum_le_m", lhs <= profile.m + SIZE_TOL,
+                            float(profile.m - lhs)))
+    return CheckReport(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +199,6 @@ class GramFactors:
     h_k: np.ndarray
     e_k: np.ndarray
     u_k: np.ndarray
-    z: np.ndarray
 
 
 def expected_gram(profile: ColumnProfile) -> GramFactors:
@@ -234,8 +213,7 @@ def expected_gram(profile: ColumnProfile) -> GramFactors:
     h_k = np.diag(1.0 - s**2 / (m * w))
     e_k = s / w
     u_k = s.copy()
-    z = np.diag(1.0 - s**2 / (m * w)) + np.outer(e_k, u_k / m)
-    return GramFactors(g=g, d_k=d_k, h_k=h_k, e_k=e_k, u_k=u_k, z=z)
+    return GramFactors(g=g, d_k=d_k, h_k=h_k, e_k=e_k, u_k=u_k)
 
 
 def theorem3_bounds(profile: ColumnProfile, slack_c: float = DEFAULT_SLACK_C) -> list[BoundReport]:
@@ -269,7 +247,7 @@ def theorem3_bounds(profile: ColumnProfile, slack_c: float = DEFAULT_SLACK_C) ->
 # ---------------------------------------------------------------------------
 
 class SamplerStarvation(RuntimeError):
-    """Acceptance rate fell below the floor over the draw budget."""
+    """No draw was accepted in MAX_DRAWS attempts."""
 
 
 def sample_column_binary(m: int, l: int, rng: np.random.Generator) -> np.ndarray:
@@ -293,14 +271,14 @@ def sample_column_fixed_size(m: int, s: float, rng: np.random.Generator) -> np.n
     return s * e / e.sum()
 
 
-def sample_column_fixed_size_norm(m: int, s: float, b: float, rng: np.random.Generator,
-                                  acceptance_floor: float = 1e-4,
-                                  budget: int = 10**6) -> np.ndarray:
+def sample_column_fixed_size_norm(m: int, s: float, b: float,
+                                  rng: np.random.Generator) -> np.ndarray:
     """Non-negative vector with exact size s and norm b.
 
     Draw uniform on the simplex, then scale the radial part around the
     center point until the norm matches; reject draws whose scaled point
-    leaves the positive orthant. Coordinate-symmetric by construction.
+    leaves the positive orthant, raising SamplerStarvation after MAX_DRAWS
+    rejections. Coordinate-symmetric by construction.
     """
     if s <= 0:
         raise MatrixError("size must be positive")
@@ -312,10 +290,7 @@ def sample_column_fixed_size_norm(m: int, s: float, b: float, rng: np.random.Gen
     if target_r2 == 0.0:
         return center.copy()
     target_r = np.sqrt(target_r2)
-    attempts = 0
-    max_attempts = max(int(1.0 / acceptance_floor), 1)
-    while attempts < max_attempts and attempts < budget:
-        attempts += 1
+    for _ in range(MAX_DRAWS):
         x = sample_column_fixed_size(m, s, rng)
         r = x - center
         nr = np.linalg.norm(r)
@@ -325,7 +300,7 @@ def sample_column_fixed_size_norm(m: int, s: float, b: float, rng: np.random.Gen
         if np.all(y >= 0.0):
             return y
     raise SamplerStarvation(
-        f"no acceptance in {attempts} draws for (m={m}, s={s}, b={b})")
+        f"no acceptance in {MAX_DRAWS} draws for (m={m}, s={s}, b={b})")
 
 
 @dataclass(frozen=True)
@@ -516,8 +491,7 @@ def fluctuation_frak_n(profile: ColumnProfile) -> float:
 
 
 def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
-                       trials: int, const_c: float = 2.0,
-                       slack_c: float = DEFAULT_SLACK_C) -> FluctuationReport:
+                       trials: int) -> FluctuationReport:
     """Monte Carlo comparison of E(sigma_i^2(X)) with the expected Gram
     spectrum, plus partial-sum (Ky Fan style) margins in expectation."""
     m, k = profile.m, profile.k
@@ -537,7 +511,7 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
     se = sig2.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros(k)
     heads = np.cumsum(e_sigma2) - np.cumsum(sigma_g)
     rho = moment_ratio(profile.sizes)
-    factor = 1.0 + rho + slack_c * profile.L / m
+    factor = 1.0 + rho + DEFAULT_SLACK_C * profile.L / m
     tail_sig2 = e_sigma2[::-1].cumsum()[::-1]
     tail_g = sigma_g[::-1].cumsum()[::-1]
     tails = factor * tail_g - tail_sig2
@@ -545,7 +519,7 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
         frak_n=frak_n,
         band_fro=float(np.sqrt((k - 1) / (m - 1)) * frak_n),
         band_r0=float((k - 1) / np.sqrt(m - 1) * r0**2),
-        band_const=float(const_c * np.sqrt((k - 1) / (m - 1)) * r0**2),
+        band_const=float(BAND_CONST_C * np.sqrt((k - 1) / (m - 1)) * r0**2),
         sigma_g=sigma_g, e_sigma2=e_sigma2, e_sigma2_se=se,
         kyfan_head_margins=heads, kyfan_tail_margins=tails, trials=trials)
 
@@ -567,12 +541,6 @@ class GammaSpec:
             raise MatrixError("rate beta must be positive")
         if self.a < 0.0:
             raise MatrixError("truncation point must be non-negative")
-
-    def truncated_mass(self) -> float:
-        """P(T >= a) under the untruncated gamma law."""
-        from scipy import stats as sp_stats  # imported here: slow to load, and only this method uses it
-
-        return float(sp_stats.gamma.sf(self.a, self.alpha, scale=1.0 / self.beta))
 
 
 def sample_sizes_truncated_gamma(k: int, spec: GammaSpec,
@@ -620,7 +588,7 @@ def _binaryized_profile(sizes: np.ndarray, m: int) -> ColumnProfile:
 
 
 def corollary10_bounds(m: int, k: int, spec: GammaSpec, resamples: int,
-                       seed: int = 0, slack_c: float = DEFAULT_SLACK_C) -> Corollary10Report:
+                       seed: int = 0) -> Corollary10Report:
     """Spectrum sandwich with distributional (gamma) factors in place of the
     sample moment ratio, evaluated over independent size resamples.
 
@@ -640,9 +608,7 @@ def corollary10_bounds(m: int, k: int, spec: GammaSpec, resamples: int,
         sizes = sample_sizes_truncated_gamma(k, spec, rng)
         prof = _binaryized_profile(sizes, m)
         deltas[t] = density(prof)
-        slack = slack_c * prof.L / m
-        if not precond or prof.L / m < 1.0 / k:
-            pass  # preconditions flagged below; bounds still evaluated
+        slack = DEFAULT_SLACK_C * prof.L / m
         w_sorted = np.sort(prof.sq_norms())[::-1]
         sig = np.sort(np.linalg.eigvalsh(expected_gram(prof).g))[::-1]
         lo = w_sorted / (lower_factor + slack)

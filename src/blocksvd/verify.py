@@ -141,7 +141,7 @@ def verify_blockdiag(seed: int, trials: int) -> VerifyReport:
         want = np.linalg.svd(r, compute_uv=False)
         worst_spec = min(worst_spec, 1e-9 * norm_r - float(np.abs(got[: want.size] - want).max()))
         ky = bd.kyfan_column_bounds(r, min(k, n))
-        worst_kyfan = min(worst_kyfan, min(ky.head_margin, ky.tail_margin) + ky.tol)
+        worst_kyfan = min(worst_kyfan, min(ky.head_margin, ky.tail_margin) + bd.KYFAN_TOL)
         # contraction diagnostics are checked on square splits one short of
         # full, where every stated factor is provably attained
         k2 = int(rng.integers(2, 8))
@@ -244,8 +244,14 @@ def verify_gamma(seed: int, trials: int) -> VerifyReport:
 
 def verify_pipeline(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("pipeline", seed, trials)
-    factor = np.sqrt(1.0 + np.sqrt(2.0)) / 10.0
-    rep.add("threshold_factor_value", 5e-5 - abs(factor - 0.1554), tol=0.0)
+    # Hand case at k = 1, alpha = 1: the column norms 3, sqrt 5, sqrt 2 keep
+    # the columns in order; column 1 has size 1 + 2 = 3 and the largest row
+    # sum of columns 1 and 2 is 2 + 1 = 3, so the threshold is
+    # sqrt(1 + sqrt 2) * sqrt(3 * 3).
+    hand = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
+    want = 3.0 * np.sqrt(1.0 + np.sqrt(2.0))
+    got = pl.plan_partition(hand, k=1).threshold
+    rep.add("threshold_factor_value", 1e-12 * want - abs(got - want), tol=0.0)
     rng = rm.stream(seed, 6)
     r = np.abs(rng.standard_normal((30, 12)))
     plan = pl.plan_partition(r, k=4)

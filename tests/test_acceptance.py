@@ -76,7 +76,7 @@ def test_criterion_02_algorithm1_convergence():
             np.linalg.svd(res.d_inf, compute_uv=False)]))[::-1]
         want = np.linalg.svd(r, compute_uv=False)
         worst_spec = max(worst_spec, float(np.max(np.abs(got - want))) / norm)
-        rep = bd.check_lemma11(res.trace, tol=1e-9)
+        rep = bd.check_lemma11(res.trace)
         for item in rep.checks:
             if item.name in ("i_pivot_monotone", "iv_contraction"):
                 worst_margin = min(worst_margin, item.margin)

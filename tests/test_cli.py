@@ -228,6 +228,26 @@ class TestNonFiniteInput:
         assert len(looped) == int(loop)
 
 
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command", [["approx", "--k", 1, "--i", 1], ["bounds", "--k", 1]],
+                             ids=["approx", "bounds"])
+    def test_gzip_file_exits_2(self, tmp_path, capsys, command):
+        import gzip
+
+        path = tmp_path / "t.mtx.gz"
+        path.write_bytes(gzip.compress(
+            b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 2\n"))
+        assert run([command[0], path] + command[1:]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: expected header")
+
+    def test_non_utf8_entry_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                         b"2 2 2\n1 1 1\n2 2 2\xe9\n")
+        assert run(["approx", path, "--k", 1, "--i", 1]) == 2
+        assert capsys.readouterr().err.startswith("error: line 4: malformed entry")
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_json(self, tmp_path):
         o1, o2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -60,6 +60,17 @@ class TestBlockTrig:
         with pytest.raises(gv.SingularBlockError):
             gv.block_trig(np.zeros((2, 2)), np.ones((2, 1)))
 
+    def test_matrix_is_the_right_rotation(self):
+        # block_trig is the right rotation of the pair: its matrix is
+        # [[cos_ab, -sin_ab], [sin_ab^T, cos_ba]], and it is the rotation
+        # build_right_rotation makes for any partition with the same A and B
+        for _ in range(30):
+            p = random_partition(RNG, int(RNG.integers(5, 10)), 5, int(RNG.integers(1, 5)))
+            t = gv.block_trig(p.a, p.b)
+            want = np.block([[t.cos_ab, -t.sin_ab], [t.sin_ab.T, t.cos_ba]])
+            np.testing.assert_allclose(t.matrix, want, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(t.matrix, gv.build_right_rotation(p).matrix)
+
 
 class TestRotations:
     def test_right_identity_when_b_zero(self):
@@ -150,6 +161,25 @@ class TestHouseholder:
     def test_zero_pivot_rejected(self):
         with pytest.raises(mc.MatrixError):
             gv.householder_block(0.0, np.ones(2))
+
+    @pytest.mark.parametrize("a,v", [(1.0, [np.nan]), (1.0, [0.0, np.inf]), (np.inf, [1.0])])
+    def test_non_finite_rejected(self, a, v):
+        with pytest.raises(mc.MatrixError, match="finite"):
+            gv.householder_block(a, v)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_transposed_k1_right_rotation(self, sign):
+        for _ in range(20):
+            v = RNG.standard_normal(int(RNG.integers(1, 6)))
+            a = sign * (0.1 + abs(float(RNG.standard_normal())))
+            want = gv.block_trig(np.array([[a]]), v[None, :]).matrix.T.copy()
+            if a < 0:
+                want[0, :] = -want[0, :]
+            h = gv.householder_block(a, v)
+            np.testing.assert_array_equal(h, want)
+            image = h @ np.concatenate([[a], v])
+            assert image[0] == pytest.approx(np.hypot(a, np.linalg.norm(v)))
+            assert np.linalg.norm(image[1:]) <= 1e-12 * abs(image[0])
 
 
 class TestRotationWeight:

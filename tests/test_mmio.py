@@ -245,3 +245,35 @@ class TestRoundTripProperty:
         assert got.tobytes() == mmio._read_by_lines(path).tobytes()
         write_by_cells(tmp_path / "ref.mtx", m, symmetric=symmetric)
         assert path.read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 fails the check of the line it is on."""
+
+    def test_gzip_file(self, tmp_path):
+        import gzip
+
+        path = tmp_path / "m.mtx.gz"
+        path.write_bytes(gzip.compress((GENERAL + "\n2 2 1\n1 1 1.5\n").encode()))
+        for p in (path, str(path)):
+            with pytest.raises(mmio.MatrixMarketError, match="line 1: expected header"):
+                mmio.read_matrix(p)
+
+    @pytest.mark.parametrize("byte", [b"\xe9", b"\xa0", b"\x8b"])
+    def test_entry_line(self, tmp_path, byte):
+        path = tmp_path / "latin1.mtx"
+        path.write_bytes(GENERAL.encode() + b"\n2 2 2\n1 1 1.5\n2 2 -3" + byte + b"\n")
+        for read in (mmio.read_matrix, mmio._read_by_lines):
+            with pytest.raises(mmio.MatrixMarketError, match="line 4: malformed entry"):
+                read(path)
+
+    def test_size_line(self, tmp_path):
+        path = tmp_path / "size.mtx"
+        path.write_bytes(GENERAL.encode() + b"\n2 2\xe9 1\n1 1 1.5\n")
+        with pytest.raises(mmio.MatrixMarketError, match="line 2: non-integer size line"):
+            mmio.read_matrix(path)
+
+    def test_comment_line_ignored(self, tmp_path):
+        path = tmp_path / "comment.mtx"
+        path.write_bytes(GENERAL.encode() + b"\n% caf\xe9\n2 2 2\n1 1 1.5\n% \xff\n2 2 -3\n")
+        np.testing.assert_array_equal(mmio.read_matrix(path), [[1.5, 0.0], [0.0, -3.0]])
