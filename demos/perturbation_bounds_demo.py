@@ -17,9 +17,9 @@ p = BlockPartition(rng.standard_normal((10, 8)), 3)
 print(f"partition 10x8, k=3, ||D|| = {operator_norm(p.d):.4f}\n")
 
 for i in (1, 3, 5):
-    mq, rep = mu_bounds(p, i)
+    rep = mu_bounds(p, i)
     print(f"i={i}: |sigma_i(R) - sigma_i(R0)| = {rep.oracle:.6f} "
-          f"<= mu_bar = {mq.mu_bar:.6f} (corner norm {operator_norm(p.d):.6f})")
+          f"<= mu_bar = {rep.upper:.6f} (corner norm {operator_norm(p.d):.6f})")
 
 print("\ntruncation-error bounds at i=3:")
 for rep in weyl_gap_bounds(p, 3):
@@ -27,8 +27,7 @@ for rep in weyl_gap_bounds(p, 3):
           f"[{rep.lower:.6f}, {rep.upper:.6f}]")
 
 print("\npivot-coupling bounds on sigma_{k+1}:")
-_, reports = theorem2_bounds(p)
-for rep in reports:
+for rep in theorem2_bounds(p):
     print(f"  {rep.formula:<14} upper {rep.upper:.6f}, oracle {rep.oracle:.6f}, "
           f"slack {rep.slack:.6f}")
 

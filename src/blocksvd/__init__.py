@@ -12,9 +12,9 @@ and a CLI (``cli``).
 from .blockdiag import (BlockDiagResult, GapCertificate, SweepRecord,
                         SweepTrace, block_diagonalize, check_lemma11,
                         kyfan_column_bounds, top_singular_values)
-from .bounds import (BoundReport, MuQuantities, SpectralPartition,
-                     Theorem2Inputs, example1_sigma2, kernel_restricted_norm,
-                     mu_bounds, small_rank_bounds, theorem2_bounds, weyl_gap_bounds)
+from .bounds import (BoundReport, SpectralPartition, example1_sigma2,
+                     kernel_restricted_norm, mu_bounds, small_rank_bounds,
+                     theorem2_bounds, weyl_gap_bounds)
 from .givens import (BlockGivens, BlockRotationFactors, SingularBlockError,
                      block_rotation_decompose, block_trig, build_left_rotation,
                      build_right_rotation, householder_block, rotation_weight)

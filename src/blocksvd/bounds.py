@@ -19,8 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import (RANK_TOL, BlockPartition, MatrixError, as_matrix,
-                      numerical_rank, operator_norm)
+from .givens import _check_pivot
+from .matcore import (BlockPartition, MatrixError, as_matrix, numerical_rank,
+                      operator_norm)
 
 
 @dataclass(frozen=True)
@@ -142,50 +143,28 @@ def small_rank_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class MuQuantities:
-    i: int
-    k: int
-    mu_r: float
-    mu_r0: float
-    branch_r: str    # which of the two slice norms achieved the min for R
-    branch_r0: str
-
-    @property
-    def mu_bar(self) -> float:
-        return max(self.mu_r, self.mu_r0)
-
-
-def _mu_slice(svd_factors, d: np.ndarray, i: int, k: int) -> tuple[float, str]:
+def _mu_slice(svd_factors, d: np.ndarray, i: int, k: int) -> float:
     """min of the two slice norms for the gap at index i (1-based; slices
     from i on), ||D V[k:, i-1:]|| and ||U[k:, i-1:]^T D||, from the full SVD
     factors ``(u, s, vt)`` of R or R0."""
     u, _, vt = svd_factors
-    by_cols = operator_norm(d @ vt[i - 1 :, k:].T)
-    by_rows = operator_norm(u[k:, i - 1 :].T @ d)
-    if by_cols <= by_rows:
-        return by_cols, "columns"
-    return by_rows, "rows"
+    return min(operator_norm(d @ vt[i - 1 :, k:].T), operator_norm(u[k:, i - 1 :].T @ d))
 
 
-def mu_bounds(p: BlockPartition, i: int) -> tuple[MuQuantities, BoundReport]:
+def mu_bounds(p: BlockPartition, i: int) -> BoundReport:
     """Slice-norm bound on |sigma_i(R) - sigma_i(R0)|.
 
     mu for each of R and R0 is the smaller of the two slice norms of the
-    zeroed block against that matrix's own SVD factors; the bound is the max
-    of the two mu values. For i > 2k the report doubles as an absolute bound
-    since sigma_i(R0) = 0.
+    zeroed block against that matrix's own SVD factors; the report's upper
+    bound, mu_bar, is the max of the two mu values. For i > 2k it doubles
+    as an absolute bound since sigma_i(R0) = 0.
     """
     if not (1 <= i <= p.n):
         raise MatrixError(f"need 1 <= i <= n, got i={i}")
     p = _spectral(p)
-    k = p.k
-    mu_r, br = _mu_slice(p.svd_r, p.d, i, k)
-    mu_r0, br0 = _mu_slice(p.svd_r0, p.d, i, k)
-    mq = MuQuantities(i=i, k=k, mu_r=mu_r, mu_r0=mu_r0, branch_r=br, branch_r0=br0)
+    mu_bar = max(_mu_slice(p.svd_r, p.d, i, p.k), _mu_slice(p.svd_r0, p.d, i, p.k))
     gap = abs(_sigma(p.sigma_r, i) - _sigma(p.sigma_r0, i))
-    report = BoundReport("slice-mu", i, k, lower=0.0, upper=mq.mu_bar, oracle=gap)
-    return mq, report
+    return BoundReport("slice-mu", i, p.k, lower=0.0, upper=mu_bar, oracle=gap)
 
 
 def example1_sigma2(c: float, s: float) -> float:
@@ -210,31 +189,19 @@ def kernel_restricted_norm(d, kmat) -> float:
     return operator_norm(d @ basis)
 
 
-@dataclass(frozen=True)
-class Theorem2Inputs:
-    nu1: float
-    nu2: float
-    rho1: float
-    rho2: float
-    norm_d_ker_b: float
-    norm_dt_ker_ct: float
-    rank_b: int
-    rank_c: int
-
-
-def theorem2_bounds(p: BlockPartition):
+def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     """Block-Givens bounds on sigma_{k+1} of R0 and of R.
 
-    Returns (inputs, reports) where reports carry the min-form bound and the
-    weaker closed-form bound for R0, the corrected bound for R, and, when
-    the partition is square with n = m = 2k and invertible blocks, the
-    symmetric two-term bound.
+    The reports carry the min-form bound and the weaker closed-form bound
+    for R0, the corrected bound for R, and, when the partition is square
+    with n = m = 2k and invertible blocks, the symmetric two-term bound.
+    Raises SingularBlockError when the pivot block A fails the rotations'
+    singularity test.
     """
     p = _spectral(p)
     a, b, c, d = p.a, p.b, p.c, p.d
     sa = np.linalg.svd(a, compute_uv=False)
-    if sa[-1] <= RANK_TOL * max(sa[0], 1.0):
-        raise MatrixError(f"pivot block numerically singular (sigma_min={sa[-1]:.3e})")
+    _check_pivot(sa)
     aib = np.linalg.solve(a, b)
     cai = np.linalg.solve(a.T, c.T).T
     nb, nc, nd = float(p.sigma_b[0]), float(p.sigma_c[0]), p.norm_d
@@ -248,9 +215,6 @@ def theorem2_bounds(p: BlockPartition):
     dtker_ct = kernel_restricted_norm(d.T, c.T)
     rho1 = nu1 * nd + (1.0 - nu1) * dker_b
     rho2 = nu2 * nd + (1.0 - nu2) * dtker_ct
-    inputs = Theorem2Inputs(nu1=float(nu1), nu2=float(nu2), rho1=float(rho1),
-                            rho2=float(rho2), norm_d_ker_b=dker_b,
-                            norm_dt_ker_ct=dtker_ct, rank_b=rank_b, rank_c=rank_c)
     branch_c = n_cai / np.sqrt(1.0 + n_cai**2) * nb
     branch_b = n_aib / np.sqrt(1.0 + n_aib**2) * nc
     r0_min = min(branch_c, branch_b)
@@ -271,4 +235,4 @@ def theorem2_bounds(p: BlockPartition):
         term_c = nb * nc / np.sqrt(sk_a**2 + nc**2) + na * nd / np.sqrt(na**2 + sk_c**2)
         reports.append(BoundReport("Cor5", k, k, 0.0, float(min(term_b, term_c)),
                                    oracle=_sigma(p.sigma_r, k + 1)))
-    return inputs, reports
+    return reports

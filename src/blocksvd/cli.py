@@ -63,12 +63,11 @@ def _cmd_bounds(args) -> int:
     reports = []
     reports.extend(bn.weyl_gap_bounds(p, i))
     reports.extend(bn.small_rank_bounds(p, i))
-    mu, mu_rep = bn.mu_bounds(p, i)
-    reports.append(mu_rep)
-    _, t2 = bn.theorem2_bounds(p)
-    reports.extend(t2)
+    mu = bn.mu_bounds(p, i)
+    reports.append(mu)
+    reports.extend(bn.theorem2_bounds(p))
     ok = all(r.contains_oracle for r in reports)
-    _emit({"k": args.k, "i": i, "mu_bar": mu.mu_bar,
+    _emit({"k": args.k, "i": i, "mu_bar": mu.upper,
            "reports": [r.to_json() for r in reports], "all_contain": ok},
           args.output)
     return 0 if ok else 1
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
                 "plan": _cmd_plan, "approx": _cmd_approx, "verify": _cmd_verify}
     try:
         return dispatch[args.command](args)
-    except (MatrixError, pl.PipelineError, bd.PivotSingularError, OSError) as exc:
+    except (MatrixError, pl.PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

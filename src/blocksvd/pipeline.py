@@ -126,7 +126,7 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
     r, transposed = _oriented(r)
     if r.min() < 0.0:
         raise MatrixError("planner requires a non-negative matrix")
-    if alpha <= 0:
+    if not alpha > 0:   # also refuses NaN
         raise MatrixError("shape parameter alpha must be positive")
     m, n = r.shape
     col_norms = np.linalg.norm(r, axis=0)

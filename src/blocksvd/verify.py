@@ -168,10 +168,8 @@ def verify_bounds(seed: int, trials: int) -> VerifyReport:
         i = int(rng.integers(1, p.k + 1))
         for r in bn.weyl_gap_bounds(p, min(i, p.n - 1) or 1):
             worst_weyl = min(worst_weyl, r.slack)
-        mu, r = bn.mu_bounds(p, i)
-        worst_mu = min(worst_mu, r.slack)
-        _, reports = bn.theorem2_bounds(p)
-        for r in reports:
+        worst_mu = min(worst_mu, bn.mu_bounds(p, i).slack)
+        for r in bn.theorem2_bounds(p):
             worst_t2 = min(worst_t2, r.slack)
     rep.add("gap_bounds_contain_oracle", worst_weyl, tol=1e-10)
     rep.add("slice_bound_contains_gap", worst_mu, tol=1e-10)

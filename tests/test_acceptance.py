@@ -96,9 +96,9 @@ def test_criterion_03_slice_bound():
         k = int(RNG.integers(1, n))
         p = mc.BlockPartition(RNG.standard_normal((m, n)), k)
         i = int(RNG.integers(1, n + 1))
-        mq, rep = bo.mu_bounds(p, i)
-        worst_gap = max(worst_gap, rep.oracle - mq.mu_bar)
-        worst_refine = max(worst_refine, mq.mu_bar - mc.operator_norm(p.d))
+        rep = bo.mu_bounds(p, i)
+        worst_gap = max(worst_gap, rep.oracle - rep.upper)
+        worst_refine = max(worst_refine, rep.upper - mc.operator_norm(p.d))
     closed = bo.example1_sigma2(0.6, 0.8)
     oracle = float(np.linalg.svd(np.array([[0.6, -0.8], [0.8, 0.0]]),
                                  compute_uv=False)[-1])
@@ -118,14 +118,14 @@ def test_criterion_04_block_givens_bounds():
         k = int(RNG.integers(1, n))
         p = mc.BlockPartition(RNG.standard_normal((m, n)), k)
         try:
-            _, reports = bo.theorem2_bounds(p)
+            reports = bo.theorem2_bounds(p)
         except mc.MatrixError:
             continue
         tried += 1
         if all(rep.contains_oracle for rep in reports):
             contained += 1
     scalar = mc.BlockPartition(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
-    _, reports = bo.theorem2_bounds(scalar)
+    reports = bo.theorem2_bounds(scalar)
     rep = reports[0]
     slack = rep.upper - rep.oracle
     scalar_ok = (abs(rep.upper - 1.0 / np.sqrt(2.0)) <= 1e-12

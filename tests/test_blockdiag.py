@@ -85,6 +85,30 @@ class TestBlockDiagonalize:
         with pytest.raises(bd.PivotSingularError):
             bd.block_diagonalize(mc.BlockPartition(r, 1))
 
+    def test_singular_pivot_error_is_a_matrix_error(self):
+        r = np.zeros((4, 3))
+        r[:, 1:] = RNG.standard_normal((4, 2))
+        with pytest.raises(mc.MatrixError) as err:
+            bd.block_diagonalize(mc.BlockPartition(r, 1))
+        assert isinstance(err.value, bd.PivotSingularError)
+        assert isinstance(err.value, gv.SingularBlockError)
+        assert "mid-run" in str(err.value)
+        assert err.value.sigma_min == 0.0
+        # C = 0 makes the left step an identity; the right step meets A = 0
+        assert [rec.t for rec in err.value.trace.records] == [0, 1]
+
+    @pytest.mark.parametrize("kwargs", [{"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf},
+                                        {"max_iter": -3}],
+                             ids=["tol-nan", "tol-negative", "tol-inf", "max-iter-negative"])
+    def test_bad_stopping_rule_rejected(self, kwargs):
+        with pytest.raises(mc.MatrixError):
+            bd.block_diagonalize(random_partition(12, 8, 3), **kwargs)
+
+    def test_trace_records_partition_width(self):
+        p = random_partition(12, 8, 3, scale_left=4.0)
+        trace = bd.block_diagonalize(p).trace
+        assert (trace.k, trace.n) == (3, 8)
+
     def test_max_iter_reports_nonconverged(self):
         p = random_partition(12, 8, 3)
         res = bd.block_diagonalize(p, tol=1e-16, max_iter=1)
@@ -147,7 +171,7 @@ class TestGramNorm:
 
         monkeypatch.setattr(bd, "operator_norm", refuse)
         p = random_partition(30, 12, 4, scale_left=5.0)
-        trace = bd.SweepTrace(k=4)
+        trace = bd.SweepTrace(k=4, n=p.n)
         trace.append_state(0, p)
         rec = trace.records[0]
         for name, block in (("norm_b", p.b), ("norm_c", p.c), ("norm_d", p.d),
@@ -201,6 +225,39 @@ class TestLemma11Diagnostics:
             recs = res.trace.records
             for prev, cur in zip(recs, recs[1:]):
                 assert np.all(cur.sigma_a >= prev.sigma_a - 1e-10)
+
+    @staticmethod
+    def _growing_d_trace(n):
+        # k = 1: a left step, then a right step after which ||D_t|| grows
+        # from 1 to 2, past its contraction bound 1 / sqrt(1 + 1/4)
+        def rec(t, norm_b, norm_c, norm_d):
+            return bd.SweepRecord(t=t, norm_a=2.0, sigma_a=np.array([2.0]), sigma_k_a=2.0,
+                                  norm_b=norm_b, norm_c=norm_c, norm_d=norm_d,
+                                  sigma_left_band=np.array([2.0]), norm_right_band=norm_d,
+                                  degenerate=False)
+        return bd.SweepTrace(k=1, n=n, records=[rec(0, 1.0, 0.0, 1.0), rec(1, 1.0, 0.0, 1.0),
+                                                rec(2, 0.0, 0.1, 2.0)])
+
+    def test_contraction_asserted_only_for_one_trailing_column(self):
+        want = 1.0 / np.sqrt(1.25) - 2.0
+        (one,) = [c for c in bd.check_lemma11(self._growing_d_trace(2)).checks
+                  if c.name == "iv_contraction"]
+        (wide,) = [c for c in bd.check_lemma11(self._growing_d_trace(3)).checks
+                   if c.name == "iv_contraction"]
+        assert one.margin == wide.margin == pytest.approx(want, abs=1e-15)
+        assert not one.passed
+        assert wide.passed
+
+    def test_readme_case_passes(self):
+        # the README recipe: 200 x 80 at 30% density, k = 20, whose sweeps
+        # contract less than (iv)'s one-column factor
+        rng = np.random.default_rng(0)
+        r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.3)
+        r[:, :20] *= 10.0
+        res = bd.block_diagonalize(mc.BlockPartition(r, 20), tol=1e-12)
+        assert res.converged
+        rep = bd.check_lemma11(res.trace)
+        assert rep.all_passed, [c for c in rep.checks if not c.passed]
 
     def test_report_margins_finite(self):
         res = bd.block_diagonalize(square_gap_partition(3))
@@ -314,7 +371,7 @@ def dense_block_diagonalize(p, tol=bd.DEFAULT_TOL, max_iter=bd.DEFAULT_MAX_ITER)
     """(trace, converged, iterations, final) of the dense reference sweep."""
     k = p.k
     scale = mc.operator_norm(p.base)
-    trace = bd.SweepTrace(k=k, records=[_dense_record(0, p)])
+    trace = bd.SweepTrace(k=k, n=p.n, records=[_dense_record(0, p)])
     cur = p
     rec = trace.records[0]
     converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale

@@ -6,6 +6,7 @@ import pytest
 from blocksvd import cli, mmio
 from blocksvd import matcore as mc
 from blocksvd import bounds as bo
+from blocksvd import givens as gv
 
 RNG = np.random.default_rng(4242)
 
@@ -86,15 +87,15 @@ class TestMuBounds:
     def test_zero_d_exact(self):
         r = RNG.standard_normal((6, 4))
         p = mc.BlockPartition(mc.BlockPartition(r, 2).zero_d(), 2)
-        mq, rep = bo.mu_bounds(p, 2)
-        assert mq.mu_bar == pytest.approx(0.0, abs=1e-12)
+        rep = bo.mu_bounds(p, 2)
+        assert rep.upper == pytest.approx(0.0, abs=1e-12)
         assert rep.oracle == pytest.approx(0.0, abs=1e-12)
 
     def test_plane_rotation_hand_case(self):
         c, s = 0.6, 0.8
         r = np.array([[c, -s], [s, c]])
         p = mc.BlockPartition(r, 1)
-        mq, rep = bo.mu_bounds(p, 2)
+        rep = bo.mu_bounds(p, 2)
         assert rep.oracle == pytest.approx(1.0 - SIGMA2_CLOSED, abs=1e-12)
         assert rep.contains_oracle
 
@@ -119,10 +120,10 @@ class TestMuBounds:
             k = int(RNG.integers(1, n))
             p = mc.BlockPartition(RNG.standard_normal((m, n)), k)
             i = int(RNG.integers(1, n + 1))
-            mq, rep = bo.mu_bounds(p, i)
-            assert rep.oracle <= mq.mu_bar + 1e-10
+            rep = bo.mu_bounds(p, i)
+            assert rep.oracle <= rep.upper + 1e-10
             # the slice bound never exceeds the plain corner norm
-            assert mq.mu_bar <= mc.operator_norm(p.d) + 1e-12
+            assert rep.upper <= mc.operator_norm(p.d) + 1e-12
 
 
 class TestKernelRestrictedNorm:
@@ -149,7 +150,7 @@ class TestKernelRestrictedNorm:
 class TestTheorem2Bounds:
     def test_scalar_hand_case(self):
         p = mc.BlockPartition(np.array([[1.0, 1.0], [1.0, 0.0]]), 1)
-        inputs, reports = bo.theorem2_bounds(p)
+        reports = bo.theorem2_bounds(p)
         by_name = {rep.formula: rep for rep in reports}
         rep = by_name["Thm2-R0-min"]
         assert rep.upper == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
@@ -160,7 +161,7 @@ class TestTheorem2Bounds:
         r = RNG.standard_normal((4, 4))
         r[:2, 2:] = 0.0  # B = 0
         p = mc.BlockPartition(r, 2)
-        _, reports = bo.theorem2_bounds(p)
+        reports = bo.theorem2_bounds(p)
         rep = reports[0]
         assert rep.upper == pytest.approx(0.0, abs=1e-14)
         assert rep.oracle <= rep.upper + 1e-10
@@ -168,7 +169,7 @@ class TestTheorem2Bounds:
     def test_min_form_tighter_than_closed_form(self):
         for _ in range(200):
             p = random_partition(8, 6, 2)
-            _, reports = bo.theorem2_bounds(p)
+            reports = bo.theorem2_bounds(p)
             by_name = {rep.formula: rep for rep in reports}
             assert by_name["Thm2-R0-min"].upper <= by_name["Thm2-R0-closed"].upper + 1e-12
 
@@ -176,7 +177,7 @@ class TestTheorem2Bounds:
         for _ in range(200):
             k = int(RNG.integers(1, 4))
             p = random_partition(2 * k, 2 * k, k)
-            _, reports = bo.theorem2_bounds(p)
+            reports = bo.theorem2_bounds(p)
             by_name = {rep.formula: rep for rep in reports}
             assert "Cor5" in by_name
             assert by_name["Cor5"].contains_oracle, by_name["Cor5"].to_json()
@@ -188,7 +189,7 @@ class TestTheorem2Bounds:
             k = int(RNG.integers(1, n))
             p = mc.BlockPartition(RNG.standard_normal((m, n)), k)
             try:
-                _, reports = bo.theorem2_bounds(p)
+                reports = bo.theorem2_bounds(p)
             except mc.MatrixError:
                 continue
             for rep in reports:
@@ -200,9 +201,47 @@ class TestTheorem2Bounds:
             bo.theorem2_bounds(mc.BlockPartition(r, 2))
 
 
+def near_singular_pivot(ratio):
+    """12 x 8 matrix whose 3 x 3 pivot block has sigma_min / sigma_1 = ratio."""
+    rng = np.random.default_rng(7)
+    r = rng.standard_normal((12, 8))
+    q1 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    r[:3, :3] = (q1 * [10.0, 4.0, 10.0 * ratio]) @ q2.T
+    return r
+
+
+class TestOnePivotFloor:
+    """theorem2_bounds refuses a pivot by the rotations' own test,
+    sigma_min(A) <= 1e-13 * max(sigma_1(A), 1), and by no other."""
+
+    @pytest.mark.parametrize("ratio", [5e-13, 2e-13])
+    def test_pivot_above_floor_analysed(self, tmp_path, ratio):
+        r = near_singular_pivot(ratio)
+        sa = np.linalg.svd(r[:3, :3], compute_uv=False)
+        assert sa[-1] / sa[0] == pytest.approx(ratio, rel=1e-2)
+        reports = bo.theorem2_bounds(mc.BlockPartition(r, 3))
+        assert reports and all(rep.contains_oracle for rep in reports)
+        path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
+        mmio.write_matrix(path, r)
+        assert cli.main(["bounds", str(path), "--k", "3", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["all_contain"]
+
+    def test_pivot_below_floor_refused(self, tmp_path, capsys):
+        r = near_singular_pivot(1e-14)
+        with pytest.raises(gv.SingularBlockError):
+            bo.theorem2_bounds(mc.BlockPartition(r, 3))
+        path = tmp_path / "r.mtx"
+        mmio.write_matrix(path, r)
+        assert cli.main(["bounds", str(path), "--k", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: pivot block is numerically singular")
+        assert cli.main(["blockdiag", str(path), "--k", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: pivot block singular mid-run")
+
+
 def test_report_json_round():
     p = random_partition(6, 4, 2)
-    _, rep = bo.mu_bounds(p, 2)
+    rep = bo.mu_bounds(p, 2)
     d = rep.to_json()
     assert set(d) == {"formula", "i", "k", "lower", "upper", "oracle", "slack"}
     assert d["slack"] == rep.slack
@@ -234,9 +273,9 @@ class TestBoundsCommandSpectra:
 
         rep = json.loads(out.read_text())
         p = mc.BlockPartition(mmio.read_matrix(path), k)
-        mq, mu_rep = bo.mu_bounds(p, i)
+        mu_rep = bo.mu_bounds(p, i)
         alone = (bo.weyl_gap_bounds(p, i) + bo.small_rank_bounds(p, i) + [mu_rep]
-                 + bo.theorem2_bounds(p)[1])
+                 + bo.theorem2_bounds(p))
         assert rep["reports"] == [json.loads(json.dumps(r.to_json())) for r in alone]
-        assert rep["mu_bar"] == mq.mu_bar
+        assert rep["mu_bar"] == mu_rep.upper
         assert {r["formula"] for r in rep["reports"]} >= ({"rank-cap"} if i >= 2 * k else {"Cor5"})

@@ -228,6 +228,30 @@ class TestNonFiniteInput:
         assert len(looped) == int(loop)
 
 
+class TestNumericOptions:
+    """A numeric option outside its range is refused before any work, by
+    the library with MatrixError and by the command with exit 2."""
+
+    def test_plan_alpha_nan(self, tmp_path, capsys):
+        r = np.abs(RNG.standard_normal((12, 8)))
+        with pytest.raises(MatrixError, match="alpha"):
+            pl.plan_partition(r, alpha=np.nan)
+        path = tmp_path / "r.mtx"
+        mmio.write_matrix(path, r)
+        assert run(["plan", path, "--alpha", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: shape parameter alpha")
+
+    @pytest.mark.parametrize("option,message", [
+        (["--tol", "nan"], "error: need a finite tol"),
+        (["--tol", "-1"], "error: need a finite tol"),
+        (["--max-iter", "-3"], "error: need max_iter"),
+    ], ids=["tol-nan", "tol-negative", "max-iter-negative"])
+    def test_blockdiag_stopping_rule(self, tmp_path, capsys, option, message):
+        path, _ = write_banded(tmp_path)
+        assert run(["blockdiag", path, "--k", 3] + option) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+
 class TestUndecodableInput:
     @pytest.mark.parametrize("command", [["approx", "--k", 1, "--i", 1], ["bounds", "--k", 1]],
                              ids=["approx", "bounds"])
