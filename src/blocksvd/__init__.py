@@ -25,11 +25,10 @@ from .mmio import MatrixMarketError, read_matrix, write_matrix
 from .pipeline import (ApproxReport, PartitionPlan, PipelineError,
                        algorithm2, approximate, plan_partition)
 from .randmat import (ColumnProfile, GammaSpec, RandomColumnModel,
-                      check_S1, corollary10_bounds, density, derived_stats,
-                      empirical_gram, expected_gram, fluctuation_bounds,
-                      gamma_rho_prediction, lemma13_stats, moment_ratio,
-                      sample_column_binary, sample_column_fixed_size,
-                      sample_column_fixed_size_norm,
+                      check_S1, corollary10_bounds, density, empirical_gram,
+                      expected_gram, fluctuation_bounds, gamma_rho_prediction,
+                      lemma13_stats, moment_ratio, sample_column_binary,
+                      sample_column_fixed_size, sample_column_fixed_size_norm,
                       sample_sizes_truncated_gamma, stream, theorem3_bounds)
 from .verify import VerifyReport, run_suite
 

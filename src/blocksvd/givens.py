@@ -122,15 +122,17 @@ class BlockRotationFactors:
     middle: np.ndarray
 
     def assemble(self) -> np.ndarray:
-        k = self.q1.shape[0]
-        n = k + self.q2.shape[0]
-        left = np.zeros((n, n))
-        left[:k, :k] = self.q1
-        left[k:, k:] = self.q2
-        right = np.zeros((n, n))
-        right[:k, :k] = self.q1p
-        right[k:, k:] = self.q2p
-        return left @ self.middle @ right
+        return _block_diag(self.q1, self.q2) @ self.middle @ _block_diag(self.q1p, self.q2p)
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(a, b) for square blocks a and b."""
+    k = a.shape[0]
+    n = k + b.shape[0]
+    out = np.zeros((n, n))
+    out[:k, :k] = a
+    out[k:, k:] = b
+    return out
 
 
 def _check_pivot(sigma_a: np.ndarray) -> None:
@@ -261,13 +263,7 @@ def block_rotation_decompose(q, k: int) -> BlockRotationFactors:
     # theta holds min(k, n-k) angles in [0, pi/2]; angles ~0 are trivial
     # identity directions. The middle factor is recovered by sandwiching,
     # which respects whatever block layout LAPACK chose.
-    left = np.zeros((n, n))
-    left[:k, :k] = u1
-    left[k:, k:] = u2
-    right = np.zeros((n, n))
-    right[:k, :k] = v1h
-    right[k:, k:] = v2h
-    middle = left.T @ q @ right.T
+    middle = _block_diag(u1, u2).T @ q @ _block_diag(v1h, v2h).T
     cos_all = np.cos(theta)
     sin_all = np.sin(theta)
     nontrivial = sin_all > TRIG_TOL

@@ -25,7 +25,6 @@ DEFAULT_SLACK_C = 4.0    # multiplier on the L/m slack terms
 BAND_CONST_C = 2.0       # constant of the fluctuation band c sqrt((k-1)/(m-1)) r0^2
 MAX_DRAWS = 10**4        # rejection draws per column before SamplerStarvation
 SIZE_TOL = 1e-12
-SUPPORT_TOL = 1e-12      # entries above this count as nonzero for L
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -33,8 +32,13 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise MatrixError(f"{name} must be at least {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
-# Profiles and derived statistics
+# Profiles and their statistics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -54,12 +58,14 @@ class ColumnProfile:
     L: int | None = None
 
     def __post_init__(self):
+        if not self.m >= 1:
+            raise MatrixError(f"need m >= 1 rows, got {self.m}")
         sizes = np.asarray(self.sizes, dtype=float)
         object.__setattr__(self, "sizes", sizes)
         if sizes.ndim != 1 or sizes.size < 1:
             raise MatrixError("sizes must be a non-empty vector")
-        if np.any(sizes <= 0):
-            raise MatrixError("sizes must be positive")
+        if not np.all(np.isfinite(sizes) & (sizes > 0)):
+            raise MatrixError("sizes must be finite and positive")
         if (self.norms is None) == (self.expected_sq_norms is None):
             raise MatrixError("exactly one of norms / expected_sq_norms required")
         if self.norms is not None:
@@ -67,6 +73,8 @@ class ColumnProfile:
             object.__setattr__(self, "norms", norms)
             if norms.shape != sizes.shape:
                 raise MatrixError("norms must match sizes in length")
+            if not np.all(np.isfinite(norms) & (norms > 0)):
+                raise MatrixError("norms must be finite and positive")
             if np.any(norms > sizes + SIZE_TOL):
                 raise MatrixError("infeasible profile: a norm exceeds its size")
         else:
@@ -74,6 +82,8 @@ class ColumnProfile:
             object.__setattr__(self, "expected_sq_norms", w)
             if w.shape != sizes.shape:
                 raise MatrixError("expected_sq_norms must match sizes in length")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise MatrixError("expected_sq_norms must be finite and positive")
         if self.L is None:
             object.__setattr__(self, "L", int(min(self.m, math.ceil(sizes.max()))))
 
@@ -138,26 +148,6 @@ def moment_ratio(values) -> float:
     return float(np.sqrt(np.mean(v**2)) / np.mean(v))
 
 
-@dataclass(frozen=True)
-class DerivedStats:
-    delta: float
-    rho: float
-    xi1: float
-    xi2: float
-    tau: np.ndarray  # permutation sorting (expected) squared norms descending
-
-
-def derived_stats(profile: ColumnProfile) -> DerivedStats:
-    xi = profile.xi()
-    return DerivedStats(
-        delta=density(profile),
-        rho=moment_ratio(profile.sizes),
-        xi1=float(np.mean(xi)),
-        xi2=float(np.sqrt(np.mean(xi**2))),
-        tau=np.argsort(-profile.sq_norms(), kind="stable"),
-    )
-
-
 def check_S1(profile: ColumnProfile) -> CheckReport:
     """Structural conditions: squared norms dominate sizes, bounded maximal
     size, and a moment-ratio cap on the size-to-squared-norm sequence.
@@ -216,30 +206,35 @@ def expected_gram(profile: ColumnProfile) -> GramFactors:
     return GramFactors(g=g, d_k=d_k, h_k=h_k, e_k=e_k, u_k=u_k)
 
 
-def theorem3_bounds(profile: ColumnProfile, slack_c: float = DEFAULT_SLACK_C) -> list[BoundReport]:
-    """Per-index sandwich on the expected Gram spectrum.
+def _sandwich(profile: ColumnProfile, delta: float, rho: float, slack_c: float,
+              formula: str) -> list[BoundReport]:
+    """Theorem 3's per-index sandwich on the expected Gram spectrum, for a
+    density delta and a size moment ratio rho.
 
-    lower = (1 + rho + c*L/m)^(-1) * w_tau(i), upper = (1 + k*delta*rho) *
-    w_tau(i) in fixed-norm mode; the expected-norm mode adds the slack to
-    the upper factor as well. Oracle values are the eigenvalues of the
-    expected Gram matrix.
+    lower = (1 + rho + c*L/m)^(-1) * w_(i), upper = (1 + k*delta*rho) *
+    w_(i), with w_(i) the i-th largest (expected) squared norm; the
+    expected-norm mode adds the slack c*L/m to the upper factor as well.
+    Oracle values are the eigenvalues of the expected Gram matrix.
     """
-    ds = derived_stats(profile)
     slack = slack_c * profile.L / profile.m
-    w_sorted = profile.sq_norms()[ds.tau]
-    g = expected_gram(profile).g
-    sig = np.sort(np.linalg.eigvalsh(g))[::-1]
-    upper_factor = 1.0 + profile.k * ds.delta * ds.rho
+    w_sorted = np.sort(profile.sq_norms())[::-1]
+    sig = np.linalg.eigvalsh(expected_gram(profile).g)[::-1]
+    upper_factor = 1.0 + profile.k * delta * rho
     if profile.norms is None:
         upper_factor += slack
-    lower_factor = 1.0 / (1.0 + ds.rho + slack)
+    lower_factor = 1.0 / (1.0 + rho + slack)
     return [
-        BoundReport("Thm3", i + 1, profile.k,
+        BoundReport(formula, i + 1, profile.k,
                     lower=float(lower_factor * w_sorted[i]),
                     upper=float(upper_factor * w_sorted[i]),
                     oracle=float(sig[i]))
         for i in range(profile.k)
     ]
+
+
+def theorem3_bounds(profile: ColumnProfile, slack_c: float = DEFAULT_SLACK_C) -> list[BoundReport]:
+    """Theorem 3's sandwich at the profile's density and size moment ratio."""
+    return _sandwich(profile, density(profile), moment_ratio(profile.sizes), slack_c, "Thm3")
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +329,8 @@ class RandomColumnModel:
                                  L=int(self.sizes.max()))
         if self.kind == "fixed-size-and-norm":
             return ColumnProfile(m=self.m, sizes=self.sizes, norms=self.norms, L=self.m)
-        # fixed-size: norms vary; expected squared norm estimated is not
-        # known in closed form, so callers supply it; here the center-norm
-        # lower bound is used as a placeholder only when asked explicitly.
+        # fixed-size: each column's norm is random, and this model does not
+        # supply the expected squares, so the caller builds the profile
         raise MatrixError("fixed-size model has no intrinsic norm profile; "
                           "build a ColumnProfile with expected_sq_norms instead")
 
@@ -367,23 +361,21 @@ class MomentCheck:
     def within(self, n_se: float) -> bool:
         return abs(self.empirical - self.formula) <= n_se * max(self.se, 1e-300)
 
-    def to_json(self) -> dict:
-        return {"empirical": self.empirical, "formula": self.formula, "se": self.se}
-
 
 @dataclass(frozen=True)
 class Lemma13Report:
     mean: MomentCheck
     variance: MomentCheck
-    trials: int
-
-    def to_json(self) -> dict:
-        return {"mean": self.mean.to_json(), "variance": self.variance.to_json(),
-                "trials": self.trials}
 
 
-def _radial_sq(size: float, sq_norm: float, m: int) -> float:
-    return sq_norm - size * size / m
+def _model_sq_norm(model: RandomColumnModel, samples: np.ndarray) -> float:
+    """The squared norm of a single-column model: its fixed norm squared, its
+    size for a zero-one column, else the mean of the sampled squares."""
+    if model.norms is not None:
+        return float(model.norms[0] ** 2)
+    if model.kind == "binary":
+        return float(model.sizes[0])
+    return float(samples.mean())
 
 
 def lemma13_stats(model_x: RandomColumnModel, model_y: RandomColumnModel,
@@ -395,6 +387,7 @@ def lemma13_stats(model_x: RandomColumnModel, model_y: RandomColumnModel,
         raise MatrixError("models must share the row count")
     if model_x.k != 1 or model_y.k != 1:
         raise MatrixError("lemma13_stats works on single-column models")
+    _check_count("trials", trials, 2)
     m = model_x.m
     dots = np.empty(trials)
     sqx = np.empty(trials)
@@ -407,23 +400,15 @@ def lemma13_stats(model_x: RandomColumnModel, model_y: RandomColumnModel,
         sqy[t] = y @ y
     sx, sy = float(model_x.sizes[0]), float(model_y.sizes[0])
     mean_formula = sx * sy / m
-    if model_x.norms is not None or model_x.kind == "binary":
-        wx = float(model_x.norms[0] ** 2) if model_x.norms is not None else sx
-    else:
-        wx = float(sqx.mean())
-    if model_y.norms is not None or model_y.kind == "binary":
-        wy = float(model_y.norms[0] ** 2) if model_y.norms is not None else sy
-    else:
-        wy = float(sqy.mean())
-    var_formula = _radial_sq(sx, wx, m) * _radial_sq(sy, wy, m) / (m - 1)
+    wx, wy = _model_sq_norm(model_x, sqx), _model_sq_norm(model_y, sqy)
+    var_formula = (wx - sx * sx / m) * (wy - sy * sy / m) / (m - 1)
     mean_emp = float(dots.mean())
     var_emp = float(dots.var(ddof=1))
     mean_se = float(dots.std(ddof=1) / np.sqrt(trials))
     centered = (dots - mean_emp) ** 2
     var_se = float(centered.std(ddof=1) / np.sqrt(trials))
     return Lemma13Report(mean=MomentCheck(mean_emp, mean_formula, mean_se),
-                         variance=MomentCheck(var_emp, var_formula, var_se),
-                         trials=trials)
+                         variance=MomentCheck(var_emp, var_formula, var_se))
 
 
 @dataclass(frozen=True)
@@ -432,12 +417,12 @@ class EmpiricalGramReport:
     g: np.ndarray
     max_abs_dev: float
     max_se: float
-    trials: int
 
 
 def empirical_gram(model: RandomColumnModel, profile: ColumnProfile,
                    trials: int) -> EmpiricalGramReport:
     """Average of X^T X over trials against the expected Gram matrix."""
+    _check_count("trials", trials, 1)
     k = model.k
     acc = np.zeros((k, k))
     acc2 = np.zeros((k, k))
@@ -452,7 +437,7 @@ def empirical_gram(model: RandomColumnModel, profile: ColumnProfile,
     g = expected_gram(profile).g
     return EmpiricalGramReport(g_hat=g_hat, g=g,
                                max_abs_dev=float(np.abs(g_hat - g).max()),
-                               max_se=float(se.max()), trials=trials)
+                               max_se=float(se.max()))
 
 
 @dataclass
@@ -466,17 +451,10 @@ class FluctuationReport:
     e_sigma2_se: np.ndarray
     kyfan_head_margins: np.ndarray   # E sum_{j<=i} sigma_j^2(X) - sum sigma_j(G)
     kyfan_tail_margins: np.ndarray
-    trials: int
 
     def containment(self, band: float, n_se: float = 0.0) -> bool:
         tol = band + n_se * self.e_sigma2_se
         return bool(np.all(np.abs(self.e_sigma2 - self.sigma_g) <= tol))
-
-    def to_json(self) -> dict:
-        return {"frak_n": self.frak_n, "band_fro": self.band_fro,
-                "band_r0": self.band_r0, "band_const": self.band_const,
-                "sigma_g": self.sigma_g.tolist(), "e_sigma2": self.e_sigma2.tolist(),
-                "e_sigma2_se": self.e_sigma2_se.tolist(), "trials": self.trials}
 
 
 def radial_norms(profile: ColumnProfile) -> np.ndarray:
@@ -494,6 +472,7 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
                        trials: int) -> FluctuationReport:
     """Monte Carlo comparison of E(sigma_i^2(X)) with the expected Gram
     spectrum, plus partial-sum (Ky Fan style) margins in expectation."""
+    _check_count("trials", trials, 1)
     m, k = profile.m, profile.k
     frak_n = fluctuation_frak_n(profile)
     r = radial_norms(profile)
@@ -521,7 +500,7 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
         band_r0=float((k - 1) / np.sqrt(m - 1) * r0**2),
         band_const=float(BAND_CONST_C * np.sqrt((k - 1) / (m - 1)) * r0**2),
         sigma_g=sigma_g, e_sigma2=e_sigma2, e_sigma2_se=se,
-        kyfan_head_margins=heads, kyfan_tail_margins=tails, trials=trials)
+        kyfan_head_margins=heads, kyfan_tail_margins=tails)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +514,13 @@ class GammaSpec:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise MatrixError("shape alpha must be >= 1")
-        if self.beta <= 0.0:
-            raise MatrixError("rate beta must be positive")
-        if self.a < 0.0:
-            raise MatrixError("truncation point must be non-negative")
+        # chained comparisons, so that NaN fails each check as well as inf
+        if not 1.0 <= self.alpha < math.inf:
+            raise MatrixError(f"shape alpha must be finite and >= 1, got {self.alpha}")
+        if not 0.0 < self.beta < math.inf:
+            raise MatrixError(f"rate beta must be finite and positive, got {self.beta}")
+        if not 0.0 <= self.a < math.inf:
+            raise MatrixError(f"truncation point a must be finite and non-negative, got {self.a}")
 
 
 def sample_sizes_truncated_gamma(k: int, spec: GammaSpec,
@@ -548,16 +528,22 @@ def sample_sizes_truncated_gamma(k: int, spec: GammaSpec,
     """k i.i.d. draws from the left-truncated gamma density.
 
     Rejection from the untruncated gamma; the acceptance probability is
-    1 - F(a), close to one for the small-beta regime of interest.
+    1 - F(a), close to one for the small-beta regime of interest. Raises
+    SamplerStarvation once MAX_DRAWS draws in a row are rejected.
     """
     out = np.empty(k)
     filled = 0
+    rejected = 0  # draws since the last accepted batch
     while filled < k:
         batch = rng.gamma(spec.alpha, 1.0 / spec.beta, size=max(2 * (k - filled), 16))
         keep = batch[batch >= spec.a]
         take = min(keep.size, k - filled)
         out[filled : filled + take] = keep[:take]
         filled += take
+        rejected = 0 if take else rejected + batch.size
+        if rejected >= MAX_DRAWS:
+            raise SamplerStarvation(f"no draw reached a={spec.a} in {rejected} draws "
+                                    f"(alpha={spec.alpha}, beta={spec.beta})")
     return out
 
 
@@ -572,14 +558,6 @@ class Corollary10Report:
     containment_fraction: float
     delta_check: MomentCheck
     precondition_ok: bool
-    resamples: int
-
-    def to_json(self) -> dict:
-        return {"reports": [r.to_json() for r in self.reports],
-                "containment_fraction": self.containment_fraction,
-                "delta_check": self.delta_check.to_json(),
-                "precondition_ok": self.precondition_ok,
-                "resamples": self.resamples}
 
 
 def _binaryized_profile(sizes: np.ndarray, m: int) -> ColumnProfile:
@@ -589,41 +567,32 @@ def _binaryized_profile(sizes: np.ndarray, m: int) -> ColumnProfile:
 
 def corollary10_bounds(m: int, k: int, spec: GammaSpec, resamples: int,
                        seed: int = 0) -> Corollary10Report:
-    """Spectrum sandwich with distributional (gamma) factors in place of the
-    sample moment ratio, evaluated over independent size resamples.
+    """Theorem 3's sandwich at the gamma law's predicted density
+    alpha/(m*beta) and moment ratio sqrt(1 + 1/alpha), in place of the
+    sample ones, evaluated over independent size resamples.
 
     Sizes are drawn from the truncated gamma law and rounded up to integers
     (zero-one column semantics, so expected squared norms equal sizes).
     Containment is reported as the fraction of resamples where every index
     lies inside its interval.
     """
-    upper_factor = 1.0 + (k / (m * spec.beta)) * np.sqrt(spec.alpha * (spec.alpha + 1.0))
-    lower_factor = 1.0 + np.sqrt(1.0 + 1.0 / spec.alpha)
+    _check_count("resamples", resamples, 1)
+    delta_formula = spec.alpha / (m * spec.beta)
+    rho = gamma_rho_prediction(spec)
     contained = 0
     deltas = np.empty(resamples)
-    reports: list[BoundReport] = []
     precond = spec.a == 1.0 and spec.alpha >= 1.0 and spec.beta <= 1.0 / np.sqrt(k)
     for t in range(resamples):
-        rng = stream(seed, t)
-        sizes = sample_sizes_truncated_gamma(k, spec, rng)
+        sizes = sample_sizes_truncated_gamma(k, spec, stream(seed, t))
         prof = _binaryized_profile(sizes, m)
         deltas[t] = density(prof)
-        slack = DEFAULT_SLACK_C * prof.L / m
-        w_sorted = np.sort(prof.sq_norms())[::-1]
-        sig = np.sort(np.linalg.eigvalsh(expected_gram(prof).g))[::-1]
-        lo = w_sorted / (lower_factor + slack)
-        hi = (upper_factor + slack) * w_sorted
-        ok = bool(np.all((lo - 1e-10 <= sig) & (sig <= hi + 1e-10)))
-        contained += ok
+        sandwich = _sandwich(prof, delta_formula, rho, DEFAULT_SLACK_C, "Cor10")
+        contained += all(r.contains_oracle for r in sandwich)
         if t == 0:
-            reports = [BoundReport("Cor10", i + 1, k, lower=float(lo[i]),
-                                   upper=float(hi[i]), oracle=float(sig[i]))
-                       for i in range(k)]
-    delta_formula = spec.alpha / (m * spec.beta)
+            reports = sandwich
     delta_se = float(deltas.std(ddof=1) / np.sqrt(resamples)) if resamples > 1 else 0.0
     return Corollary10Report(
         reports=reports,
         containment_fraction=contained / resamples,
         delta_check=MomentCheck(float(deltas.mean()), float(delta_formula), delta_se),
-        precondition_ok=precond,
-        resamples=resamples)
+        precondition_ok=precond)

@@ -52,6 +52,21 @@ class TestProfileAndStats:
         with pytest.raises(mc.MatrixError):
             rm.moment_ratio([1.0, -1.0])
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(m=0, sizes=[1.0], norms=[1.0], L=1),
+        dict(m=4, sizes=[np.nan], norms=[1.0], L=1),
+        dict(m=4, sizes=[np.inf], norms=[1.0], L=1),
+        dict(m=4, sizes=[2.0], norms=[np.nan]),
+        dict(m=4, sizes=[2.0], expected_sq_norms=[np.nan]),
+        dict(m=4, sizes=[2.0], expected_sq_norms=[np.inf]),
+        dict(m=4, sizes=[2.0], norms=[0.0]),
+        dict(m=4, sizes=[2.0, 1.0], expected_sq_norms=[-1.0, 1.0]),
+    ], ids=["m0", "size-nan", "size-inf", "norm-nan", "sq-norm-nan", "sq-norm-inf",
+            "norm-zero", "sq-norm-negative"])
+    def test_profile_rejects_bad_input(self, kwargs):
+        with pytest.raises(mc.MatrixError):
+            rm.ColumnProfile(**kwargs)
+
     def test_profile_json_roundtrip(self):
         prof = binary_profile(10, [3, 5])
         back = rm.ColumnProfile.from_json(prof.to_json())
@@ -65,8 +80,8 @@ class TestConditionS1:
     def test_zero_one_profile_passes(self):
         rep = rm.check_S1(binary_profile(4, [2, 2]))
         assert rep.all_passed
-        stats = rm.derived_stats(binary_profile(4, [2, 2]))
-        assert stats.rho == pytest.approx(1.0, abs=1e-15)
+        rho = rm.moment_ratio(binary_profile(4, [2, 2]).sizes)
+        assert rho == pytest.approx(1.0, abs=1e-15)
 
     def test_norm_too_small_fails(self):
         prof = rm.ColumnProfile(m=4, sizes=np.array([2.0]), norms=np.array([1.0]), L=4)
@@ -255,6 +270,12 @@ class TestLemma13:
         assert rep.mean.within(4.0)
         assert rep.variance.within(4.0)
 
+    def test_needs_two_trials(self):
+        mx = rm.RandomColumnModel("binary", 4, sizes=[2.0], seed=21)
+        for trials in (0, 1):
+            with pytest.raises(mc.MatrixError):
+                rm.lemma13_stats(mx, mx, trials=trials)
+
 
 class TestEmpiricalGram:
     def test_center_columns_exact(self):
@@ -271,6 +292,11 @@ class TestEmpiricalGram:
         model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=52)
         rep = rm.empirical_gram(model, model.profile(), trials=20000)
         assert rep.max_abs_dev <= 5 * max(rep.max_se, 1e-12)
+
+    def test_needs_a_trial(self):
+        model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=52)
+        with pytest.raises(mc.MatrixError):
+            rm.empirical_gram(model, model.profile(), trials=0)
 
 
 class TestFluctuationBounds:
@@ -302,6 +328,11 @@ class TestFluctuationBounds:
         rep = rm.fluctuation_bounds(prof, model, trials=2000)
         assert rep.containment(rep.band_fro, n_se=4.0)
 
+    def test_needs_a_trial(self):
+        model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=62)
+        with pytest.raises(mc.MatrixError):
+            rm.fluctuation_bounds(model.profile(), model, trials=0)
+
 
 class TestGamma:
     def test_spec_validation(self):
@@ -309,6 +340,22 @@ class TestGamma:
             rm.GammaSpec(alpha=0.5, beta=0.1)
         with pytest.raises(mc.MatrixError):
             rm.GammaSpec(alpha=1.0, beta=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "a"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_spec_rejects_non_finite(self, field, value):
+        # with a NaN parameter no draw passes the truncation test, so the sampler would never return
+        kwargs = dict(alpha=2.0, beta=0.1, a=1.0)
+        kwargs[field] = value
+        with pytest.raises(mc.MatrixError):
+            rm.GammaSpec(**kwargs)
+
+    def test_unreachable_truncation_starves(self):
+        spec = rm.GammaSpec(alpha=2.0, beta=0.1, a=1e6)
+        with pytest.raises(rm.SamplerStarvation):
+            rm.sample_sizes_truncated_gamma(4, spec, rm.stream(74))
+        with pytest.raises(rm.SamplerStarvation):
+            rm.corollary10_bounds(m=100, k=4, spec=spec, resamples=1)
 
     def test_exponential_mean(self):
         spec = rm.GammaSpec(alpha=1.0, beta=0.1)
@@ -353,6 +400,24 @@ class TestCorollary10:
         target = spec.alpha / (m * spec.beta)
         se = deltas.std(ddof=1) / np.sqrt(deltas.size)
         assert abs(deltas.mean() - target) <= 3 * se + 0.1 * target
+
+    def test_factors_are_theorem3_at_gamma_predictions(self):
+        # Corollary 10's closed-form factors, 1 + (k/(m beta)) sqrt(alpha(alpha+1))
+        # and 1 + sqrt(1 + 1/alpha), plus the slack c L/m on both sides
+        m, k, seed = 300, 12, 84
+        spec = rm.GammaSpec(alpha=2.5, beta=0.05)
+        rep = rm.corollary10_bounds(m=m, k=k, spec=spec, resamples=3, seed=seed)
+        sizes = np.clip(np.ceil(rm.sample_sizes_truncated_gamma(k, spec, rm.stream(seed, 0))), 1, m)
+        w = np.sort(sizes)[::-1]
+        slack = rm.DEFAULT_SLACK_C * sizes.max() / m
+        upper = 1.0 + (k / (m * spec.beta)) * np.sqrt(spec.alpha * (spec.alpha + 1.0)) + slack
+        lower = 1.0 + np.sqrt(1.0 + 1.0 / spec.alpha) + slack
+        np.testing.assert_allclose([r.upper for r in rep.reports], upper * w, rtol=1e-15)
+        np.testing.assert_allclose([r.lower for r in rep.reports], w / lower, rtol=1e-15)
+
+    def test_needs_a_resample(self):
+        with pytest.raises(mc.MatrixError):
+            rm.corollary10_bounds(m=100, k=4, spec=rm.GammaSpec(alpha=1.0, beta=0.1), resamples=0)
 
     def test_single_column_trivial(self):
         spec = rm.GammaSpec(alpha=1.0, beta=0.1)
