@@ -27,11 +27,7 @@ for rec in res.trace.records:
     print(f"{rec.t:>3} {rec.norm_b:>12.3e} {rec.norm_c:>12.3e} "
           f"{rec.norm_d:>12.3e} {rec.sigma_k_a:>12.6f}")
 
-block_spectrum = np.sort(np.concatenate([
-    np.linalg.svd(res.a_inf, compute_uv=False),
-    np.linalg.svd(res.d_inf, compute_uv=False)]))[::-1]
-oracle = np.linalg.svd(r, compute_uv=False)
-print(f"\nmax spectrum deviation vs SVD: {np.abs(block_spectrum - oracle).max():.3e}")
+print(f"\nmax spectrum deviation vs SVD: {res.spectrum_deviation():.3e}")
 
 report = check_lemma11(res.trace)
 print("\nsweep diagnostics:")

@@ -5,17 +5,15 @@ certified extraction of top singular values."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .matcore import (BlockPartition, CheckItem, CheckReport, MatrixError, as_matrix,
                       operator_norm)
-from .givens import BlockGivens, SingularBlockError, _build_rotation
+from .givens import SingularBlockError, _build_rotation
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
-REORTH_DRIFT = 1e-10
 LEMMA11_TOL = 1e-9      # slack of every Lemma 11 check
 KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins
 
@@ -99,34 +97,36 @@ class SweepTrace:
 
 @dataclass
 class BlockDiagResult:
-    """Outcome of ``block_diagonalize``.
+    """Outcome of ``block_diagonalize``: the last iterate R_t and its trace.
 
-    ``final`` is the last iterate R_t, with pivot block ``a_inf`` and
-    trailing block ``d_inf``; ``rotations`` holds each step's rotation in
-    thin form, in order; ``spectrum`` is sigma(R) of the input, whose
-    largest value scales the stopping test. The accumulated factors
-    ``q_left`` and ``q_right``, with q_left @ R @ q_right = R_t, are
-    replayed from ``rotations`` on first access (reorthogonalized whenever
-    their drift exceeds REORTH_DRIFT per dimension), so a run that never
-    reads them never builds them.
+    ``final`` is R_t itself; ``a_inf`` and ``d_inf`` are views of its
+    pivot and trailing blocks, not copies. The trace's last record holds
+    sigma(A_t), and ``spectrum`` is sigma(R) of the input, whose largest
+    value scales the stopping test. The rotations are applied in place and
+    not kept.
     """
 
-    a_inf: np.ndarray
-    d_inf: np.ndarray
     trace: SweepTrace
     converged: bool
     iterations: int
     final: np.ndarray     # the last iterate R_t
-    rotations: list[BlockGivens]
     spectrum: np.ndarray  # singular values of the input R, descending
 
-    @cached_property
-    def q_left(self) -> np.ndarray:
-        return _accumulate(self.rotations, "left", self.final.shape[0])
+    @property
+    def a_inf(self) -> np.ndarray:
+        return self.final[: self.trace.k, : self.trace.k]
 
-    @cached_property
-    def q_right(self) -> np.ndarray:
-        return _accumulate(self.rotations, "right", self.final.shape[1])
+    @property
+    def d_inf(self) -> np.ndarray:
+        return self.final[self.trace.k:, self.trace.k:]
+
+    def spectrum_deviation(self) -> float:
+        """max |sort(sigma(A_t) u sigma(D_t)) - sigma(R)|: how far the
+        block spectrum of the last iterate is from that of the input."""
+        got = np.sort(np.concatenate([
+            self.trace.records[-1].sigma_a,
+            np.linalg.svd(self.d_inf, compute_uv=False)]))[::-1]
+        return float(np.abs(got[: self.spectrum.size] - self.spectrum).max())
 
 
 class PivotSingularError(SingularBlockError):
@@ -137,25 +137,6 @@ class PivotSingularError(SingularBlockError):
         MatrixError.__init__(self, f"pivot block singular mid-run (sigma_min={sigma_min:.3e})")
         self.trace = trace
         self.sigma_min = sigma_min
-
-
-def _reorthogonalize(q: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(q)
-    return u @ vt
-
-
-def _accumulate(rotations: list[BlockGivens], side: str, dim: int) -> np.ndarray:
-    """Product of the rotations of one side, in the order they were applied."""
-    q = np.eye(dim)
-    for g in rotations:
-        if g.side != side:
-            continue
-        g.apply(q)
-        # Frobenius drift bounds the spectral drift, so this reorthogonalizes
-        # at least as often as a check on ||Q^T Q - I||_2 would.
-        if np.linalg.norm(q.T @ q - np.eye(dim)) > REORTH_DRIFT * dim:
-            q = _reorthogonalize(q)
-    return q
 
 
 def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
@@ -178,7 +159,6 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
     cur = BlockPartition(p.base.copy(), k)  # the iterate, rotated in place
     trace = SweepTrace(k=k, n=p.n)
     trace.append_state(0, cur)
-    rotations: list[BlockGivens] = []
     rec = trace.records[0]
     converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
     t = 0
@@ -194,14 +174,12 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
             cur.base[k:, :k] = 0.0
         else:
             cur.base[:k, k:] = 0.0
-        rotations.append(g)
         t += 1
         trace.append_state(t, cur, degenerate=g.degenerate)
         rec = trace.records[-1]
         converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
-    return BlockDiagResult(a_inf=cur.a.copy(), d_inf=cur.d.copy(), trace=trace,
-                           converged=converged, iterations=t, final=cur.base,
-                           rotations=rotations, spectrum=spectrum)
+    return BlockDiagResult(trace=trace, converged=converged, iterations=t,
+                           final=cur.base, spectrum=spectrum)
 
 
 def _margin_check(name: str, margins: list[float], asserted: bool = True) -> CheckItem:
@@ -294,14 +272,14 @@ def _gap_certificate(p: BlockPartition, i: int, right: np.ndarray) -> GapCertifi
 def top_singular_values(p: BlockPartition, i: int):
     """Top i singular values of R via block diagonalization.
 
-    Returns (values, certificate, result). The certificate is
-    ``gap_certificate(p, i)``; when it fails the values are still returned,
-    uncertified.
+    Returns (values, certificate, result). The values are the top i of
+    sigma(A_t) from the trace's last record, the same SVD that the last
+    sweep recorded. The certificate is ``gap_certificate(p, i)``; when it
+    fails the values are still returned, uncertified.
     """
     cert = gap_certificate(p, i)
     res = block_diagonalize(p)
-    values = np.linalg.svd(res.a_inf, compute_uv=False)[:i]
-    return values, cert, res
+    return res.trace.records[-1].sigma_a[:i], cert, res
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,14 @@ class ApproxReport:
             out["oracle_deviations"] = self.oracle_deviations.tolist()
         return out
 
+    def oracle_margin(self) -> float:
+        """error_bound + 1e-9 sigma_1(R) - max_j |sigma_j(R) - values_j|,
+        which is >= 0 when the oracle lies within the bound; needs a report
+        made with ``oracle``. The 1e-9 sigma_1(R) term absorbs the rounding
+        of both SVDs."""
+        return (self.error_bound + 1e-9 * float(self.oracle_values[0])
+                - float(self.oracle_deviations.max()))
+
 
 def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     """Top ``i`` singular values of ``r`` with a certified error bound.

@@ -41,6 +41,19 @@ def _check_count(name: str, value: int, least: int) -> None:
 # Profiles and their statistics
 # ---------------------------------------------------------------------------
 
+def _checked_sizes(m: int, sizes) -> np.ndarray:
+    """``sizes`` as a float vector, after checking that m >= 1 and that the
+    sizes are a non-empty vector of finite, positive numbers."""
+    if not m >= 1:
+        raise MatrixError(f"need m >= 1 rows, got {m}")
+    sizes = np.asarray(sizes, dtype=float)
+    if sizes.ndim != 1 or sizes.size < 1:
+        raise MatrixError("sizes must be a non-empty vector")
+    if not np.all(np.isfinite(sizes) & (sizes > 0)):
+        raise MatrixError("sizes must be finite and positive")
+    return sizes
+
+
 @dataclass(frozen=True)
 class ColumnProfile:
     """Fixed column sizes plus exact norms or expected squared norms.
@@ -58,14 +71,8 @@ class ColumnProfile:
     L: int | None = None
 
     def __post_init__(self):
-        if not self.m >= 1:
-            raise MatrixError(f"need m >= 1 rows, got {self.m}")
-        sizes = np.asarray(self.sizes, dtype=float)
+        sizes = _checked_sizes(self.m, self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        if sizes.ndim != 1 or sizes.size < 1:
-            raise MatrixError("sizes must be a non-empty vector")
-        if not np.all(np.isfinite(sizes) & (sizes > 0)):
-            raise MatrixError("sizes must be finite and positive")
         if (self.norms is None) == (self.expected_sq_norms is None):
             raise MatrixError("exactly one of norms / expected_sq_norms required")
         if self.norms is not None:
@@ -301,7 +308,9 @@ def sample_column_fixed_size_norm(m: int, s: float, b: float,
 @dataclass(frozen=True)
 class RandomColumnModel:
     """A k-column ensemble: kind is "binary", "fixed-size" or
-    "fixed-size-and-norm". Norms are required only for the last kind."""
+    "fixed-size-and-norm". Needs m >= 1 and finite, positive sizes, whole
+    numbers no larger than m for binary columns. Norms are required only
+    for the last kind, and match the sizes in length when given."""
 
     kind: str
     m: int
@@ -312,9 +321,15 @@ class RandomColumnModel:
     def __post_init__(self):
         if self.kind not in ("binary", "fixed-size", "fixed-size-and-norm"):
             raise MatrixError(f"unknown model kind {self.kind!r}")
-        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=float))
+        sizes = _checked_sizes(self.m, self.sizes)
+        object.__setattr__(self, "sizes", sizes)
+        if self.kind == "binary" and not np.all((sizes == np.floor(sizes)) & (sizes <= self.m)):
+            raise MatrixError(f"binary sizes must be whole numbers <= m={self.m}")
         if self.norms is not None:
-            object.__setattr__(self, "norms", np.asarray(self.norms, dtype=float))
+            norms = np.asarray(self.norms, dtype=float)
+            object.__setattr__(self, "norms", norms)
+            if norms.shape != sizes.shape:
+                raise MatrixError("norms must match sizes in length")
         if self.kind == "fixed-size-and-norm" and self.norms is None:
             raise MatrixError("fixed-size-and-norm model needs norms")
 
@@ -389,6 +404,7 @@ def lemma13_stats(model_x: RandomColumnModel, model_y: RandomColumnModel,
         raise MatrixError("lemma13_stats works on single-column models")
     _check_count("trials", trials, 2)
     m = model_x.m
+    _check_count("m", m, 2)  # the variance formula divides by m - 1
     dots = np.empty(trials)
     sqx = np.empty(trials)
     sqy = np.empty(trials)
@@ -474,6 +490,7 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
     spectrum, plus partial-sum (Ky Fan style) margins in expectation."""
     _check_count("trials", trials, 1)
     m, k = profile.m, profile.k
+    _check_count("m", m, 2)  # the bands divide by m - 1
     frak_n = fluctuation_frak_n(profile)
     r = radial_norms(profile)
     r0 = float(r.max()) if r.size else 0.0

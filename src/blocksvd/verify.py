@@ -132,14 +132,11 @@ def verify_blockdiag(seed: int, trials: int) -> VerifyReport:
         if (np.linalg.svd(p.a, compute_uv=False)[-1] < 1e-3
                 or sig_left[-1] < 2.0 * mc.operator_norm(p.right_band())):
             continue
-        norm_r = mc.operator_norm(r)
         res = bd.block_diagonalize(p)
+        norm_r = float(res.spectrum[0])
         last = res.trace.records[-1]
         worst_conv = min(worst_conv, 1e-12 * norm_r - max(last.norm_b, last.norm_c))
-        got = np.sort(np.concatenate([np.linalg.svd(res.a_inf, compute_uv=False),
-                                      np.linalg.svd(res.d_inf, compute_uv=False)]))[::-1]
-        want = np.linalg.svd(r, compute_uv=False)
-        worst_spec = min(worst_spec, 1e-9 * norm_r - float(np.abs(got[: want.size] - want).max()))
+        worst_spec = min(worst_spec, 1e-9 * norm_r - res.spectrum_deviation())
         ky = bd.kyfan_column_bounds(r, min(k, n))
         worst_kyfan = min(worst_kyfan, min(ky.head_margin, ky.tail_margin) + bd.KYFAN_TOL)
         # contraction diagnostics are checked on square splits one short of
@@ -265,9 +262,8 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
         r[:, :8] *= 5.0
         r[8:, 8:] *= 0.01
         report = pl.algorithm2(r, k=8, i=4, oracle=True)
-        norm_r = mc.operator_norm(r)
-        worst = min(worst, 2.0 * report.norm_d + 1e-9 * norm_r
-                    - float(report.oracle_deviations.max()))
+        norm_r = float(report.oracle_values[0])
+        worst = min(worst, report.oracle_margin())
         p0 = mc.BlockPartition(mc.BlockPartition(r, report.k).zero_d(), report.k)
         rotations, _, _ = bd.top_singular_values(p0, 4)
         worst_match = min(worst_match, 1e-10 * norm_r
@@ -286,9 +282,7 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
             continue
         found += 1
         report = pl.algorithm2(pr, k=20, i=5, oracle=True)
-        margin = (report.error_bound + 1e-9 * float(report.oracle_values[0])
-                  - float(report.oracle_deviations.max()))
-        worst = min(worst, margin if report.k == 20 else -1.0)
+        worst = min(worst, report.oracle_margin() if report.k == 20 else -1.0)
         worst_norm_d = min(worst_norm_d, _norm_d_margin(report, pr, 20))
     rep.add("singular_pivot_sound", worst)
     # The recipe at its README density, where the iteration certifies ||D||.

@@ -56,14 +56,6 @@ class TestBlockDiagonalize:
             want = np.linalg.svd(p.base, compute_uv=False)
             assert np.max(np.abs(got - want)) <= 1e-9 * norm
 
-    def test_factors_reconstruct(self):
-        p = random_partition(15, 9, 3, scale_left=4.0)
-        res = bd.block_diagonalize(p)
-        m = res.q_left @ p.base @ res.q_right
-        assert mc.operator_norm(m - res.final) <= 1e-10 * mc.operator_norm(p.base)
-        for q in (res.q_left, res.q_right):
-            assert mc.operator_norm(q.T @ q - np.eye(q.shape[0])) <= 1e-10
-
     def test_off_blocks_below_tolerance(self):
         p = random_partition(20, 12, 4, scale_left=4.0)
         res = bd.block_diagonalize(p, tol=1e-12)
@@ -434,8 +426,22 @@ class TestMatchesDenseReference:
                 dev = np.max(np.abs(np.asarray(getattr(g, name)) - getattr(w, name)))
                 assert dev <= tol, (g.t, name, dev)
         assert mc.operator_norm(res.final - final) <= 1e-10 * mc.operator_norm(p.base)
-        recon = res.q_left @ p.base @ res.q_right
-        assert mc.operator_norm(recon - res.final) <= 1e-10 * mc.operator_norm(p.base)
+
+    @pytest.mark.parametrize("max_iter", [bd.DEFAULT_MAX_ITER, 0], ids=["default", "max-iter-0"])
+    @pytest.mark.parametrize("p", _differential_cases())
+    def test_result_reads_final_iterate(self, p, max_iter):
+        res = bd.block_diagonalize(p, max_iter=max_iter)
+        a_copy, d_copy = res.a_inf.copy(), res.d_inf.copy()
+        np.testing.assert_array_equal(res.trace.records[-1].sigma_a,
+                                      np.linalg.svd(a_copy, compute_uv=False))
+        got = np.sort(np.concatenate([np.linalg.svd(a_copy, compute_uv=False),
+                                      np.linalg.svd(d_copy, compute_uv=False)]))[::-1]
+        assert res.spectrum_deviation() == float(
+            np.abs(got[: res.spectrum.size] - res.spectrum).max())
+        assert np.shares_memory(res.a_inf, res.final)
+        assert np.shares_memory(res.d_inf, res.final)
+        with pytest.raises(AttributeError):
+            res.a_inf = a_copy
 
     def test_singular_pivot_raises_at_same_sweep(self):
         # C = 0 makes the first (left) step an identity, so the singular

@@ -160,6 +160,16 @@ class TestAlgorithm2:
             assert rep.error_bound == pytest.approx(2 * rep.norm_d, abs=1e-12)
             assert float(rep.oracle_deviations.max()) <= rep.error_bound + 1e-9 * norm_r
 
+    def test_oracle_margin(self):
+        rng = np.random.default_rng(12)
+        r = planted_low_rank(60, 40, 8, 0.01, rng)
+        rep = pl.algorithm2(r, k=8, i=5, oracle=True)
+        want = (rep.error_bound + 1e-9 * np.linalg.norm(r, 2)
+                - float(np.abs(np.linalg.svd(r, compute_uv=False)[:5] - rep.values).max()))
+        assert rep.oracle_margin() == want >= 0.0
+        rep.oracle_deviations = rep.oracle_deviations + rep.error_bound + 1e-8 * rep.oracle_values[0]
+        assert rep.oracle_margin() < 0.0
+
     def test_bound_scales_with_dropped_block(self):
         rng = np.random.default_rng(13)
         r = planted_low_rank(50, 30, 6, 0.01, rng)

@@ -229,6 +229,25 @@ class TestSamplers:
         np.testing.assert_array_equal(model.sample_matrix(5), model.sample_matrix(5))
         assert not np.array_equal(model.sample_matrix(5), model.sample_matrix(6))
 
+    @pytest.mark.parametrize("kind, m, sizes, norms", [
+        ("binary", 0, [1.0], None),
+        ("fixed-size", np.nan, [1.0], None),
+        ("fixed-size", 4, [], None),
+        ("fixed-size", 4, [[1.0]], None),
+        ("fixed-size", 4, [np.nan], None),
+        ("fixed-size", 4, [np.inf], None),
+        ("fixed-size", 4, [-1.0], None),
+        ("binary", 4, [np.nan], None),
+        ("binary", 4, [2.5], None),
+        ("binary", 4, [5.0], None),
+        ("fixed-size-and-norm", 4, [2.0, 2.0], [1.0]),
+    ], ids=["m-zero", "m-nan", "no-sizes", "sizes-not-a-vector", "size-nan", "size-inf",
+            "size-negative", "binary-size-nan", "binary-size-fraction",
+            "binary-size-above-m", "norms-length"])
+    def test_model_rejects_bad_input(self, kind, m, sizes, norms):
+        with pytest.raises(mc.MatrixError):
+            rm.RandomColumnModel(kind, m, sizes=sizes, norms=norms)
+
 
 class TestLemma13:
     def test_binary_exact_law(self):
@@ -275,6 +294,11 @@ class TestLemma13:
         for trials in (0, 1):
             with pytest.raises(mc.MatrixError):
                 rm.lemma13_stats(mx, mx, trials=trials)
+
+    def test_needs_two_rows(self):
+        mx = rm.RandomColumnModel("binary", 1, sizes=[1.0], seed=21)
+        with pytest.raises(mc.MatrixError, match="m must be at least 2"):
+            rm.lemma13_stats(mx, mx, trials=10)
 
 
 class TestEmpiricalGram:
@@ -332,6 +356,11 @@ class TestFluctuationBounds:
         model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=62)
         with pytest.raises(mc.MatrixError):
             rm.fluctuation_bounds(model.profile(), model, trials=0)
+
+    def test_needs_two_rows(self):
+        model = rm.RandomColumnModel("binary", 1, sizes=[1.0, 1.0], seed=62)
+        with pytest.raises(mc.MatrixError, match="m must be at least 2"):
+            rm.fluctuation_bounds(model.profile(), model, trials=10)
 
 
 class TestGamma:
