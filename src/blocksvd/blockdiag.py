@@ -64,6 +64,8 @@ def _gram_norm(x: np.ndarray) -> float:
 
 @dataclass
 class SweepTrace:
+    """The records of R_0, R_1, ... for a k-split of an n-column matrix."""
+
     k: int
     n: int      # columns of the partition; n - k is the trailing block's width
     records: list[SweepRecord] = field(default_factory=list)
@@ -237,6 +239,8 @@ def check_lemma11(trace: SweepTrace) -> CheckReport:
 
 @dataclass(frozen=True)
 class GapCertificate:
+    """The gap condition sigma_i(left band) >= ||right band|| and its sides."""
+
     i: int
     sigma_i_left: float
     norm_right: float
@@ -284,6 +288,8 @@ def top_singular_values(p: BlockPartition, i: int):
 
 @dataclass(frozen=True)
 class KyFanReport:
+    """Both partial-sum margins at index i; ``holds`` when neither is negative."""
+
     i: int
     head_margin: float   # sum_{j<=i} sigma_j^2 - sum_{j<=i} ||v_j||^2 >= 0
     tail_margin: float   # sum_{j>i} ||v_j||^2 - sum_{j>i} sigma_j^2 >= 0

@@ -26,6 +26,8 @@ from .matcore import (BlockPartition, MatrixError, as_matrix, numerical_rank,
 
 @dataclass(frozen=True)
 class BoundReport:
+    """An interval [lower, upper] for value i of a k-split, and its oracle."""
+
     formula: str
     i: int
     k: int

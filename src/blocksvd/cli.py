@@ -6,6 +6,10 @@ matrix), ``plan`` (partition planner), ``approx`` (certified low-rank
 approximation), and ``verify`` (self-check suites). Matrices are exchanged
 as Matrix Market coordinate files; reports are deterministic JSON. Exit
 codes: 0 success, 1 check violation, 2 usage error.
+
+Importing this module loads only argparse, json and ``matcore`` (with
+numpy); each command loads the modules it runs when it runs, so a one-shot
+``bounds`` never loads the planner and ``approx`` never loads ``bounds``.
 """
 
 from __future__ import annotations
@@ -14,12 +18,8 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Sequence
 
-from . import blockdiag as bd
-from . import bounds as bn
-from . import mmio
-from . import pipeline as pl
-from . import verify as vf
 from .matcore import BlockPartition, MatrixError
 
 
@@ -32,13 +32,15 @@ def _emit(report: dict, path: str | None):
         print(text)
 
 
-def _load_partition(path: str, k: int) -> BlockPartition:
-    return BlockPartition(mmio.read_matrix(path), k)
-
-
 def _cmd_blockdiag(args) -> int:
-    p = _load_partition(args.matrix, args.k)
-    res = bd.block_diagonalize(p, tol=args.tol, max_iter=args.max_iter)
+    from . import blockdiag as bd
+    from .mmio import read_matrix
+    p = BlockPartition(read_matrix(args.matrix), args.k)
+    # The options default to None, so that building the parser loads no
+    # blockdiag; its constants stay the one source of the defaults.
+    res = bd.block_diagonalize(
+        p, tol=bd.DEFAULT_TOL if args.tol is None else args.tol,
+        max_iter=bd.DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter)
     lem = bd.check_lemma11(res.trace)
     report = {"k": args.k, "converged": bool(res.converged),
               "iterations": res.iterations,
@@ -51,8 +53,10 @@ def _cmd_blockdiag(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bn
+    from .mmio import read_matrix
     # One SpectralPartition for all four families: each spectrum once.
-    p = bn.SpectralPartition(mmio.read_matrix(args.matrix), args.k)
+    p = bn.SpectralPartition(read_matrix(args.matrix), args.k)
     i = args.i if args.i is not None else args.k
     reports = []
     reports.extend(bn.weyl_gap_bounds(p, i))
@@ -68,15 +72,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    r = mmio.read_matrix(args.matrix)
-    plan = pl.plan_partition(r, k=args.k, alpha=args.alpha)
+    from .mmio import read_matrix
+    from .pipeline import plan_partition
+    plan = plan_partition(read_matrix(args.matrix), k=args.k, alpha=args.alpha)
     _emit(plan.to_json(), args.output)
     return 0
 
 
 def _cmd_approx(args) -> int:
-    report = pl.approximate(mmio.read_matrix(args.matrix), k=args.k, i=args.i,
-                            oracle=args.oracle)
+    from .mmio import read_matrix
+    from .pipeline import approximate
+    report = approximate(read_matrix(args.matrix), k=args.k, i=args.i, oracle=args.oracle)
     _emit(report.to_json(), args.output)
     if args.oracle:
         return 0 if report.oracle_margin() >= 0.0 else 1
@@ -84,9 +90,34 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rep = vf.run_suite(args.suite, seed=args.seed, trials=args.trials)
+    from .verify import run_suite
+    rep = run_suite(args.suite, seed=args.seed, trials=args.trials)
     _emit(rep.to_json(), args.output)
     return 0 if rep.passed else 1
+
+
+class _SuiteChoices(Sequence):
+    """``verify.SUITES`` and "all", read only when argparse checks a suite
+    name or reports a wrong one, so that building the parser loads no suite
+    module. (The argument's metavar keeps argparse from listing them when it
+    is added.)"""
+
+    def _names(self) -> tuple[str, ...]:
+        from .verify import SUITES
+        return SUITES + ("all",)
+
+    def __getitem__(self, i):
+        return self._names()[i]
+
+    def __len__(self) -> int:
+        return len(self._names())
+
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """The errors that exit 2. ``PipelineError`` joins them once a command
+    has loaded ``pipeline``; a command that has not cannot raise it."""
+    pipeline = sys.modules.get(f"{__package__}.pipeline")
+    return (MatrixError, OSError) + ((pipeline.PipelineError,) if pipeline else ())
 
 
 @functools.cache
@@ -107,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle_help = "compare against a dense SVD"
     p = matrix_command("blockdiag", "iterate block rotations to a diagonal")
-    p.add_argument("--tol", type=float, default=bd.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=bd.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--oracle", action="store_true", help=oracle_help)
     p = matrix_command("bounds", "singular value perturbation bounds")
     p.add_argument("--i", type=int, default=None, help="value index (default k)")
@@ -120,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True, help="number of values")
     p.add_argument("--oracle", action="store_true", help=oracle_help)
     p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("suite", choices=vf.SUITES + ("all",))
+    p.add_argument("suite", choices=_SuiteChoices(), metavar="suite",
+                   help="a suite name, or all; a wrong name lists them")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("-o", "--output", default=None, help="write JSON here")
@@ -137,7 +169,9 @@ def main(argv=None) -> int:
                 "plan": _cmd_plan, "approx": _cmd_approx, "verify": _cmd_verify}
     try:
         return dispatch[args.command](args)
-    except (MatrixError, pl.PipelineError, OSError) as exc:
+    # Evaluated only when an error propagates, after the command has loaded
+    # its modules.
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Dense numerical substrate: input validation, block partitions, norms
 (exact, a certified upper bound for non-negative blocks, and the Schur
-test), numerical rank, PSD matrix functions, and the named-check report
-that the Lemma 11 and condition (S1) diagnostics return.
+test), numerical rank, the moment ratio of a positive sequence, PSD
+matrix functions, and the named-check report that the Lemma 11 and
+condition (S1) diagnostics return.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -231,6 +232,14 @@ def certified_norm(m) -> NormBound:
         if bound is not None:
             return NormBound(bound, "collatz-wielandt", pairs)
     return NormBound(operator_norm(a), "svd", pairs)
+
+
+def moment_ratio(values) -> float:
+    """Root-mean-square over mean of a positive sequence; always >= 1."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0 or np.any(v <= 0):
+        raise MatrixError("moment_ratio needs a non-empty positive sequence")
+    return float(np.sqrt(np.mean(v**2)) / np.mean(v))
 
 
 def numerical_rank(sigma) -> int:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockdiag import GapCertificate, zeroed_gap_certificate
-from .matcore import BlockPartition, MatrixError, as_matrix, certified_norm
-from .randmat import moment_ratio
+from .matcore import (BlockPartition, MatrixError, as_matrix, certified_norm,
+                      moment_ratio)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
 

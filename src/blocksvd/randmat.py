@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .matcore import CheckItem, CheckReport, MatrixError
+# moment_ratio lives in matcore, so the planner does not load this module;
+# it stays importable from here.
+from .matcore import CheckItem, CheckReport, MatrixError, moment_ratio
 
 DEFAULT_SLACK_C = 4.0    # multiplier on the L/m slack terms
 BAND_CONST_C = 2.0       # constant of the fluctuation band c sqrt((k-1)/(m-1)) r0^2
@@ -147,14 +149,6 @@ def realized_density(x, rows=None, cols=None) -> float:
     return float(sub.sum() / sub.size)
 
 
-def moment_ratio(values) -> float:
-    """Root-mean-square over mean of a positive sequence; always >= 1."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0 or np.any(v <= 0):
-        raise MatrixError("moment_ratio needs a non-empty positive sequence")
-    return float(np.sqrt(np.mean(v**2)) / np.mean(v))
-
-
 def check_S1(profile: ColumnProfile) -> CheckReport:
     """Structural conditions: squared norms dominate sizes, bounded maximal
     size, and a moment-ratio cap on the size-to-squared-norm sequence.
@@ -191,6 +185,8 @@ def check_S1(profile: ColumnProfile) -> CheckReport:
 
 @dataclass(frozen=True)
 class GramFactors:
+    """E(X^T X) = g and the factors of its rank-one-plus-diagonal form."""
+
     g: np.ndarray
     d_k: np.ndarray
     h_k: np.ndarray
@@ -367,8 +363,18 @@ class RandomColumnModel:
 # Monte Carlo checks
 # ---------------------------------------------------------------------------
 
+def _check_ensemble(profile: ColumnProfile, model: RandomColumnModel) -> None:
+    """Refuse a profile and a model that describe different ensembles."""
+    for name, p, q in (("m", profile.m, model.m), ("column count", profile.k, model.k)):
+        if p != q:
+            raise MatrixError(f"profile and model differ in {name}: "
+                              f"profile has {p}, model has {q}")
+
+
 @dataclass(frozen=True)
 class MomentCheck:
+    """An empirical moment, its closed form, and the empirical standard error."""
+
     empirical: float
     formula: float
     se: float
@@ -379,6 +385,8 @@ class MomentCheck:
 
 @dataclass(frozen=True)
 class Lemma13Report:
+    """Lemma 13's inner-product mean and variance, each against its formula."""
+
     mean: MomentCheck
     variance: MomentCheck
 
@@ -429,6 +437,8 @@ def lemma13_stats(model_x: RandomColumnModel, model_y: RandomColumnModel,
 
 @dataclass(frozen=True)
 class EmpiricalGramReport:
+    """Mean sampled Gram matrix against E(X^T X), its largest gap and error."""
+
     g_hat: np.ndarray
     g: np.ndarray
     max_abs_dev: float
@@ -438,6 +448,7 @@ class EmpiricalGramReport:
 def empirical_gram(model: RandomColumnModel, profile: ColumnProfile,
                    trials: int) -> EmpiricalGramReport:
     """Average of X^T X over trials against the expected Gram matrix."""
+    _check_ensemble(profile, model)
     _check_count("trials", trials, 1)
     k = model.k
     acc = np.zeros((k, k))
@@ -458,6 +469,8 @@ def empirical_gram(model: RandomColumnModel, profile: ColumnProfile,
 
 @dataclass
 class FluctuationReport:
+    """Mean sampled sigma_i^2(X) against sigma_i(E X^T X), its bands and margins."""
+
     frak_n: float
     band_fro: float            # sqrt((k-1)/(m-1)) * frak_n
     band_r0: float             # (k-1)/sqrt(m-1) * r0^2
@@ -488,6 +501,7 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
                        trials: int) -> FluctuationReport:
     """Monte Carlo comparison of E(sigma_i^2(X)) with the expected Gram
     spectrum, plus partial-sum (Ky Fan style) margins in expectation."""
+    _check_ensemble(profile, model)
     _check_count("trials", trials, 1)
     m, k = profile.m, profile.k
     _check_count("m", m, 2)  # the bands divide by m - 1
@@ -526,6 +540,8 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
 
 @dataclass(frozen=True)
 class GammaSpec:
+    """Gamma(alpha, rate beta) column sizes, truncated below at ``a``."""
+
     alpha: float
     beta: float
     a: float = 1.0
@@ -571,6 +587,9 @@ def gamma_rho_prediction(spec: GammaSpec) -> float:
 
 @dataclass
 class Corollary10Report:
+    """Corollary 10's sandwich on one resample, its containment over all
+    resamples, and the sampled density against alpha/(m*beta)."""
+
     reports: list[BoundReport]            # per-index, representative resample
     containment_fraction: float
     delta_check: MomentCheck

@@ -25,6 +25,8 @@ PIVOT_FLOOR = 1e-3     # least sigma_min(A) of a random partition
 
 @dataclass(frozen=True)
 class Check:
+    """One named check of a suite, whether it passed, and its signed margin."""
+
     suite: str
     name: str
     passed: bool
@@ -37,6 +39,8 @@ class Check:
 
 @dataclass
 class VerifyReport:
+    """A suite's checks for one seed and trial count; passes when all do."""
+
     suite: str
     seed: int
     trials: int

@@ -280,9 +280,21 @@ class TestDeterminism:
         assert o1.read_bytes() == o2.read_bytes()
 
 
-def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.stats and scipy.linalg take most of a fresh import's time; no
-    # CLI command needs them before a verify suite or a sampler does
+class TestPipelineRefusal:
+    def test_too_many_columns_exits_2(self, tmp_path, capsys):
+        # a tall file one column past the dense driver's limit, mostly empty
+        path = tmp_path / "wide-limit.mtx"
+        n = pl.DENSE_LIMIT + 1
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{n + 1} {n} 3\n"
+                        "1 1 3.0\n2 2 2.0\n3 3 1.0\n")
+        assert run(["approx", path, "--k", 2, "--i", 1]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: dense driver limited to {pl.DENSE_LIMIT} columns")
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the blocksvd modules it loaded,
+    and scipy.stats and scipy.linalg if it loaded them."""
     import os
     import subprocess
     import sys
@@ -291,8 +303,57 @@ def test_import_leaves_slow_scipy_modules_unloaded():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(blocksvd.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, blocksvd.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+    code += ("\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith("
+             "('blocksvd', 'scipy.stats', 'scipy.linalg'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+CLI_IMPORT = {"blocksvd", "blocksvd.cli", "blocksvd.matcore"}
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.stats and scipy.linalg take most of a fresh import's time; no
+    # CLI command needs them before a verify suite or a sampler does, and
+    # the CLI loads only matcore before its command runs
+    assert _fresh_modules("import blocksvd.cli") == CLI_IMPORT
+    assert _fresh_modules("import blocksvd") == {"blocksvd"}
+
+
+@pytest.mark.parametrize("command, adds", [
+    (["bounds", "--k", 3], {"mmio", "givens", "bounds"}),
+    (["blockdiag", "--k", 3], {"mmio", "givens", "blockdiag"}),
+    (["approx", "--k", 3, "--i", 2], {"mmio", "pipeline", "blockdiag", "givens"}),
+    (["plan"], {"mmio", "pipeline", "blockdiag", "givens"}),
+], ids=["bounds", "blockdiag", "approx", "plan"])
+def test_command_loads_only_its_modules(tmp_path, command, adds):
+    path, r = write_banded(tmp_path)
+    mmio.write_matrix(path, np.abs(r))      # plan needs non-negative entries
+    argv = [command[0], str(path), *map(str, command[1:]), "-o", str(tmp_path / "out.json")]
+    code = f"import blocksvd.cli\nassert blocksvd.cli.main({argv!r}) == 0"
+    assert _fresh_modules(code) == CLI_IMPORT | {f"blocksvd.{m}" for m in adds}
+
+
+def test_lazy_namespace_resolves_every_export():
+    import importlib
+    import sys
+
+    import blocksvd
+
+    assert "__version__" in vars(blocksvd)     # eager, not resolved on use
+    names = dir(blocksvd)
+    for name in blocksvd.__all__:
+        obj = getattr(blocksvd, name)
+        assert obj.__module__.startswith("blocksvd."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert name in names, name
+    star: dict = {}
+    exec("from blocksvd import *", star)
+    assert set(star) - {"__builtins__"} == set(blocksvd.__all__)
+    assert _fresh_modules("from blocksvd import read_matrix") == {
+        "blocksvd", "blocksvd.mmio", "blocksvd.matcore"}
+    assert blocksvd.randmat is importlib.import_module("blocksvd.randmat")
+    assert blocksvd.moment_ratio is blocksvd.randmat.moment_ratio
+    with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
+        blocksvd.nonsense

@@ -363,6 +363,20 @@ class TestFluctuationBounds:
             rm.fluctuation_bounds(model.profile(), model, trials=10)
 
 
+class TestEnsembleMismatch:
+    # a profile and a model of different ensembles, in either function
+    @pytest.mark.parametrize("call", [rm.empirical_gram, rm.fluctuation_bounds],
+                             ids=["empirical_gram", "fluctuation_bounds"])
+    @pytest.mark.parametrize("m, sizes, message", [
+        (50, [2.0, 2.0], "differ in m: profile has 4, model has 50"),
+        (4, [2.0, 2.0, 2.0], "differ in column count: profile has 2, model has 3"),
+    ], ids=["m", "columns"])
+    def test_rejected(self, call, m, sizes, message):
+        model = rm.RandomColumnModel("binary", m, sizes=sizes, seed=64)
+        with pytest.raises(mc.MatrixError, match=message):
+            call(profile=binary_profile(4, [2, 2]), model=model, trials=10)
+
+
 class TestGamma:
     def test_spec_validation(self):
         with pytest.raises(mc.MatrixError):
