@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 # Each public name once, under the module that defines it.
 _EXPORTS = {
-    "blockdiag": ("BlockDiagResult", "GapCertificate", "SweepRecord", "SweepTrace",
+    "blockdiag": ("BlockDiagResult", "SweepRecord", "SweepTrace",
                   "block_diagonalize", "check_lemma11", "kyfan_column_bounds",
                   "top_singular_values"),
     "bounds": ("BoundReport", "SpectralPartition", "example1_sigma2",
@@ -29,9 +29,9 @@ _EXPORTS = {
     "givens": ("BlockGivens", "BlockRotationFactors", "SingularBlockError",
                "block_rotation_decompose", "block_trig", "build_left_rotation",
                "build_right_rotation", "householder_block", "rotation_weight"),
-    "matcore": ("BlockPartition", "CheckItem", "CheckReport", "MatrixError", "NormBound",
-                "as_matrix", "certified_norm", "moment_ratio", "operator_norm",
-                "psd_apply", "schur_test_bound"),
+    "matcore": ("BlockPartition", "CheckItem", "CheckReport", "GapCertificate",
+                "MatrixError", "NormBound", "as_matrix", "certified_norm", "moment_ratio",
+                "operator_norm", "schur_test_bound"),
     "mmio": ("MatrixMarketError", "read_matrix", "write_matrix"),
     "pipeline": ("ApproxReport", "PartitionPlan", "PipelineError", "algorithm2",
                  "approximate", "plan_partition"),

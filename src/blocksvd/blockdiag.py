@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import (BlockPartition, CheckItem, CheckReport, MatrixError, as_matrix,
-                      operator_norm)
+from .matcore import (BlockPartition, CheckItem, CheckReport, GapCertificate, MatrixError,
+                      as_matrix)
 from .givens import SingularBlockError, _build_rotation
 
 DEFAULT_TOL = 1e-12
@@ -237,40 +237,12 @@ def check_lemma11(trace: SweepTrace) -> CheckReport:
     return CheckReport(checks)
 
 
-@dataclass(frozen=True)
-class GapCertificate:
-    """The gap condition sigma_i(left band) >= ||right band|| and its sides."""
-
-    i: int
-    sigma_i_left: float
-    norm_right: float
-    certified: bool
-
-    def to_json(self) -> dict:
-        return {"i": self.i, "sigma_i_left": self.sigma_i_left,
-                "norm_right": self.norm_right, "certified": bool(self.certified)}
-
-
 def gap_certificate(p: BlockPartition, i: int) -> GapCertificate:
-    """Both sides of the gap condition sigma_i(R[:, :k]) >= ||R[:, k:]||."""
+    """Both sides of the gap condition sigma_i(R[:, :k]) >= ||R[:, k:]||,
+    read from the bands of ``p`` directly: the reference for the rotation
+    path and for ``pipeline.algorithm2``'s certificate."""
     # With D zeroed, as on R0, ||[B; 0]|| = ||B|| at a fraction of the cost.
-    return _gap_certificate(p, i, p.right_band() if p.d.any() else p.b)
-
-
-def zeroed_gap_certificate(p: BlockPartition, i: int) -> GapCertificate:
-    """``gap_certificate`` of R0, the matrix of ``p`` with D zeroed, read
-    from ``p`` itself: R0 has the same left band, and ||[B; 0]|| = ||B||."""
-    return _gap_certificate(p, i, p.b)
-
-
-def _gap_certificate(p: BlockPartition, i: int, right: np.ndarray) -> GapCertificate:
-    if not (1 <= i <= p.k):
-        raise MatrixError(f"need 1 <= i <= k, got i={i}, k={p.k}")
-    sig_left = np.linalg.svd(p.left_band(), compute_uv=False)
-    norm_right = operator_norm(right)
-    return GapCertificate(i=i, sigma_i_left=float(sig_left[i - 1]),
-                          norm_right=norm_right,
-                          certified=bool(sig_left[i - 1] >= norm_right))
+    return GapCertificate.from_bands(p.left_band(), p.right_band() if p.d.any() else p.b, i)
 
 
 def top_singular_values(p: BlockPartition, i: int):

@@ -1,8 +1,8 @@
 """Dense numerical substrate: input validation, block partitions, norms
 (exact, a certified upper bound for non-negative blocks, and the Schur
-test), numerical rank, the moment ratio of a positive sequence, PSD
-matrix functions, and the named-check report that the Lemma 11 and
-condition (S1) diagnostics return.
+test), the gap certificate, numerical rank, the moment ratio of a positive
+sequence, and the named-check report that the Lemma 11 and condition (S1)
+diagnostics return.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -11,11 +11,9 @@ take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-SYM_TOL = 1e-10      # symmetry rejection threshold for psd_apply
 RANK_TOL = 1e-12     # numerical rank: singular values above RANK_TOL * sigma_1
 
 
@@ -127,6 +125,33 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+@dataclass(frozen=True)
+class GapCertificate:
+    """The gap condition sigma_i(left) >= ||right|| and its two sides."""
+
+    i: int
+    sigma_i_left: float
+    norm_right: float
+    certified: bool
+
+    @classmethod
+    def from_bands(cls, left: np.ndarray, right: np.ndarray, i: int) -> "GapCertificate":
+        """Both sides for a k-column ``left`` and any ``right``; the left
+        side is read from a values-only SVD. Raises MatrixError for an i
+        outside 1..k."""
+        k = left.shape[1]
+        if not (1 <= i <= k):
+            raise MatrixError(f"need 1 <= i <= k, got i={i}, k={k}")
+        sigma_left = np.linalg.svd(left, compute_uv=False)
+        norm_right = operator_norm(right)
+        return cls(i=i, sigma_i_left=float(sigma_left[i - 1]), norm_right=norm_right,
+                   certified=bool(sigma_left[i - 1] >= norm_right))
+
+    def to_json(self) -> dict:
+        return {"i": self.i, "sigma_i_left": self.sigma_i_left,
+                "norm_right": self.norm_right, "certified": bool(self.certified)}
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -256,22 +281,3 @@ def schur_test_bound(m) -> float:
     row = np.abs(a).sum(axis=1).max()
     col = np.abs(a).sum(axis=0).max()
     return float(np.sqrt(row * col))
-
-
-def psd_apply(f: Callable[[np.ndarray], np.ndarray], s) -> np.ndarray:
-    """Apply a scalar function to a symmetric PSD matrix spectrally.
-
-    Returns V f(L) V^T from the eigendecomposition S = V L V^T. Small
-    negative eigenvalues from round-off are clipped to zero before f.
-    """
-    a = as_matrix(s)
-    if a.shape[0] != a.shape[1]:
-        raise MatrixError(f"psd_apply needs a square matrix, got {a.shape}")
-    asym = np.abs(a - a.T).max()
-    scale = max(np.abs(a).max(), 1.0)
-    if asym > SYM_TOL * scale:
-        raise MatrixError(f"matrix is not symmetric within tolerance (deviation {asym:.3e})")
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    w = np.clip(w, 0.0, None)
-    return (v * f(w)) @ v.T
-

@@ -12,8 +12,9 @@ C = Q_C R_C and B^T = Q_B R_B, R0 = diag(I, Q_C) [[A, R_B^T], [R_C, 0]]
 diag(I, Q_B^T), so sigma(R0) is the spectrum of that core of side at most
 2k (the rank-<=2k factored solve of Halko, Martinsson and Tropp,
 arXiv:0909.4061, section 5). The block-rotation sweeps of
-``blockdiag.top_singular_values`` reach the same values and stay as the
-reference that ``verify pipeline`` checks this path against.
+``blockdiag.top_singular_values`` reach the same values and certificate
+and stay as the reference that ``verify pipeline`` checks this path
+against.
 
 Nothing here inverts the pivot A, so the driver solves the requested split
 whatever A is. R - R0 is D padded with zeros, so by Weyl's inequality
@@ -27,7 +28,9 @@ signed D, or when the iteration would need more than 0.4 min(m', n')
 matrix-vector pairs (the measured cost of one SVD), the exact ||D||_2 from
 an SVD.
 When the gap certificate sigma_i([A; C]) >= ||B|| holds, interlacing gives
-sigma_i(R0) >= ||B|| >= sigma_{k+1}(R0).
+sigma_i(R0) >= ||B|| >= sigma_{k+1}(R0). Both sides come from the core:
+[A; C] = diag(I, Q_C) [A; R_C] and B = R_B^T Q_B^T, so sigma([A; C]) is
+sigma(core[:, :k]) and ||B|| = ||R_B||, both of side at most k.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockdiag import GapCertificate, zeroed_gap_certificate
-from .matcore import (BlockPartition, MatrixError, as_matrix, certified_norm,
-                      moment_ratio)
+from .matcore import (BlockPartition, GapCertificate, MatrixError, as_matrix,
+                      certified_norm, moment_ratio)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
 
@@ -186,7 +188,10 @@ class ApproxReport:
     iteration would need more pairs than its cap, about one SVD's
     cost). ``norm_d_iterations`` counts
     the iteration's matrix-vector pairs, including those run before it
-    gave way to the SVD.
+    gave way to the SVD. ``certificate`` is the gap condition
+    sigma_i([A; C]) >= ||B||, read from the same core: sigma([A; C]) =
+    sigma([A; R_C]) and ||B|| = ||R_B||, since Q_C and Q_B have
+    orthonormal columns.
     """
 
     rank: int
@@ -225,9 +230,11 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
 
     Zeroes the bottom-right block D of the (k, k) partition, takes thin QR
     factors C = Q_C R_C and B^T = Q_B R_B, and reads sigma(R0) from the
-    core [[A, R_B^T], [R_C, 0]] of side at most 2k; nothing of size m x n
-    is built. Reports the leading values with the bound 2 * norm_d, which
-    holds for any pivot A, singular or not: the split is never changed.
+    core [[A, R_B^T], [R_C, 0]] of side at most 2k, and the gap
+    certificate from the core's first k columns and R_B; nothing of size
+    m x n is built. Reports the leading values with the bound 2 * norm_d,
+    which holds for any pivot A, singular or not: the split is never
+    changed.
     ``oracle`` adds a direct SVD comparison to the report.
     """
     # Checked before BlockPartition validates r, so a too-wide r is refused
@@ -236,14 +243,15 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     if len(shape) == 2 and shape[1] > DENSE_LIMIT:
         raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {shape[1]}")
     p = BlockPartition(r, k)
-    cert = zeroed_gap_certificate(p, i)
-    norm_d = certified_norm(p.d)
     r_c = np.linalg.qr(p.c, mode="r")
     r_b = np.linalg.qr(p.b.T, mode="r")
     core = np.zeros((k + r_c.shape[0], k + r_b.shape[0]))
     core[:k, :k] = p.a
     core[:k, k:] = r_b.T
     core[k:, :k] = r_c
+    # sigma([A; C]) = sigma([A; R_C]) and ||B|| = ||R_B||
+    cert = GapCertificate.from_bands(core[:, :k], r_b, i)
+    norm_d = certified_norm(p.d)
     values = np.linalg.svd(core, compute_uv=False)[:i]
     report = ApproxReport(rank=i, k=k, values=values,
                           error_bound=2.0 * norm_d.value, norm_d=norm_d.value,

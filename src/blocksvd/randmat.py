@@ -135,20 +135,6 @@ def density(profile: ColumnProfile) -> float:
     return float(profile.sizes.sum() / (profile.m * profile.k))
 
 
-def realized_density(x, rows=None, cols=None) -> float:
-    """Density of a realized non-negative matrix, or of a designated
-    row/column index subset (0-based index arrays)."""
-    x = np.asarray(x, dtype=float)
-    sub = x
-    if rows is not None:
-        sub = sub[np.asarray(rows, dtype=int), :]
-    if cols is not None:
-        sub = sub[:, np.asarray(cols, dtype=int)]
-    if sub.size == 0:
-        raise MatrixError("empty index subset")
-    return float(sub.sum() / sub.size)
-
-
 def check_S1(profile: ColumnProfile) -> CheckReport:
     """Structural conditions: squared norms dominate sizes, bounded maximal
     size, and a moment-ratio cap on the size-to-squared-norm sequence.

@@ -76,16 +76,11 @@ def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
 def verify_matcore(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("matcore", seed, trials)
     rng = rm.stream(seed, 0)
-    worst_schur = worst_psd = np.inf
+    worst_schur = np.inf
     for _ in range(max(trials, 1)):
         a = rng.standard_normal((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
-        scale = max(mc.operator_norm(a), 1.0)
         worst_schur = min(worst_schur, mc.schur_test_bound(a) - mc.operator_norm(a))
-        s = a @ a.T
-        root = mc.psd_apply(np.sqrt, s)
-        worst_psd = min(worst_psd, 1e-10 - mc.operator_norm(root @ root - s) / max(scale**2, 1.0))
     rep.add("schur_bound_dominates_norm", worst_schur, tol=1e-12)
-    rep.add("psd_sqrt_squares_back", worst_psd)
     return rep
 
 
@@ -269,9 +264,12 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
         norm_r = float(report.oracle_values[0])
         worst = min(worst, report.oracle_margin())
         p0 = mc.BlockPartition(mc.BlockPartition(r, report.k).zero_d(), report.k)
-        rotations, _, _ = bd.top_singular_values(p0, 4)
-        worst_match = min(worst_match, 1e-10 * norm_r
-                          - float(np.abs(report.values - rotations).max()))
+        rotations, cert, _ = bd.top_singular_values(p0, 4)
+        got = report.certificate
+        dev = max(float(np.abs(report.values - rotations).max()),
+                  abs(got.sigma_i_left - cert.sigma_i_left), abs(got.norm_right - cert.norm_right))
+        worst_match = min(worst_match,
+                          1e-10 * norm_r - dev if got.certified == cert.certified else -1.0)
     rep.add("certified_error_sound", worst)
     rep.add("direct_matches_rotations", worst_match)
     # The README's recipe at 5% density, kept where the 20x20 pivot is singular.

@@ -161,7 +161,7 @@ class TestGramNorm:
         def refuse(_):
             raise AssertionError("trace norms come from _gram_norm")
 
-        monkeypatch.setattr(bd, "operator_norm", refuse)
+        monkeypatch.setattr(mc, "operator_norm", refuse)
         p = random_partition(30, 12, 4, scale_left=5.0)
         trace = bd.SweepTrace(k=4, n=p.n)
         trace.append_state(0, p)

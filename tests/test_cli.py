@@ -251,6 +251,19 @@ class TestNumericOptions:
         assert run(["blockdiag", path, "--k", 3] + option) == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("i", [0, 4], ids=["i-zero", "i-past-k"])
+    def test_approx_value_count(self, tmp_path, capsys, i):
+        r = np.abs(np.random.default_rng(5).standard_normal((12, 8)))
+        path = tmp_path / "r.mtx"
+        mmio.write_matrix(path, r)
+        message = f"need 1 <= i <= k, got i={i}, k=3"
+        with pytest.raises(MatrixError, match=message):
+            pl.algorithm2(r, k=3, i=i)
+        with pytest.raises(MatrixError, match=message):
+            pl.approximate(r, k=3, i=i)
+        assert run(["approx", path, "--k", 3, "--i", i]) == 2
+        assert capsys.readouterr().err.startswith("error: need 1 <= i <= k")
+
 
 class TestUndecodableInput:
     @pytest.mark.parametrize("command", [["approx", "--k", 1, "--i", 1], ["bounds", "--k", 1]],
@@ -324,8 +337,8 @@ def test_import_leaves_slow_scipy_modules_unloaded():
 @pytest.mark.parametrize("command, adds", [
     (["bounds", "--k", 3], {"mmio", "givens", "bounds"}),
     (["blockdiag", "--k", 3], {"mmio", "givens", "blockdiag"}),
-    (["approx", "--k", 3, "--i", 2], {"mmio", "pipeline", "blockdiag", "givens"}),
-    (["plan"], {"mmio", "pipeline", "blockdiag", "givens"}),
+    (["approx", "--k", 3, "--i", 2], {"mmio", "pipeline"}),
+    (["plan"], {"mmio", "pipeline"}),
 ], ids=["bounds", "blockdiag", "approx", "plan"])
 def test_command_loads_only_its_modules(tmp_path, command, adds):
     path, r = write_banded(tmp_path)

@@ -147,38 +147,6 @@ class TestCertifiedNorm:
         assert (nb.value, nb.method, nb.iterations) == (0.0, "collatz-wielandt", 1)
 
 
-class TestPsdApply:
-    def test_identity_function(self):
-        s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(mc.psd_apply(lambda t: t, s), s, atol=1e-12)
-
-    def test_diagonal_evaluation(self):
-        s = np.diag([0.0, 3.0])
-        out = mc.psd_apply(lambda t: 1.0 / np.sqrt(1.0 + t), s)
-        np.testing.assert_allclose(out, np.diag([1.0, 0.5]), atol=1e-12)
-
-    def test_sqrt_by_hand(self):
-        s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        root = mc.psd_apply(np.sqrt, s)
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(root)),
-                                   [1.0, np.sqrt(3.0)], atol=1e-12)
-        np.testing.assert_allclose(root @ root, s, atol=1e-12)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(mc.MatrixError):
-            mc.psd_apply(np.sqrt, np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_monotone_function_maps_spectrum(self):
-        # non-increasing f reverses the singular value order
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 5))
-        s = a @ a.T
-        f = lambda t: 1.0 / np.sqrt(1.0 + t)
-        out = mc.psd_apply(f, s)
-        want = np.sort(f(np.linalg.eigvalsh(s)))[::-1]
-        np.testing.assert_allclose(np.linalg.svd(out, compute_uv=False), want, atol=1e-10)
-
-
 class TestSpectralInequalities:
     """Eigenvalue-shift and Weyl comparisons backing the bound modules."""
 

@@ -222,6 +222,25 @@ def empty_row_pivot():
     return r
 
 
+def zero_block(r, k, block):
+    """A copy of r with B = r[:k, k:] or C = r[k:, :k] zeroed."""
+    r = r.copy()
+    if block == "b":
+        r[:k, k:] = 0.0
+    else:
+        r[k:, :k] = 0.0
+    return r
+
+
+def assert_same_certificate(got, want, norm_r):
+    """approx's certificate, read from its core, against the reference read
+    from R0's bands: the same index and flag, each side within 1e-14 ||R||."""
+    assert (got.i, got.certified) == (want.i, want.certified)
+    np.testing.assert_allclose([got.sigma_i_left, got.norm_right],
+                               [want.sigma_i_left, want.norm_right],
+                               rtol=0.0, atol=1e-14 * norm_r)
+
+
 class TestDirectMatchesRotations:
     """The factored R0 solve against the block-rotation reference path."""
 
@@ -234,6 +253,12 @@ class TestDirectMatchesRotations:
          12, 4, 12),
         ("zero_d", planted_low_rank(30, 20, 5, 0.0, np.random.default_rng(20)),
          5, 5, 5),
+        ("short_c", planted_low_rank(24, 20, 15, 0.01, np.random.default_rng(21)),
+         15, 5, 15),
+        ("zero_c", zero_block(planted_low_rank(30, 20, 5, 0.01, np.random.default_rng(22)),
+                              5, "c"), 5, 4, 5),
+        ("zero_b", zero_block(planted_low_rank(30, 20, 5, 0.01, np.random.default_rng(23)),
+                              5, "b"), 5, 4, 5),
     ])
     def test_same_report(self, name, r, k, i, want_k):
         rep = pl.algorithm2(r, k=k, i=i)
@@ -241,7 +266,7 @@ class TestDirectMatchesRotations:
         p = BlockPartition(r, rep.k)
         values, cert, res = bd.top_singular_values(BlockPartition(p.zero_d(), rep.k), i)
         assert res.converged
-        assert rep.certificate == cert
+        assert_same_certificate(rep.certificate, cert, np.linalg.norm(r, 2))
         assert rep.error_bound == 2.0 * operator_norm(p.d)
         np.testing.assert_allclose(rep.values, values, rtol=0.0,
                                    atol=1e-10 * np.linalg.norm(r, 2))
@@ -268,7 +293,8 @@ class TestSingularPivot:
         r0 = p.zero_d()
         np.testing.assert_allclose(rep.values, np.linalg.svd(r0, compute_uv=False)[:i],
                                    rtol=0.0, atol=1e-10 * norm_r)
-        assert rep.certificate == bd.gap_certificate(BlockPartition(r0, k), i)
+        assert_same_certificate(rep.certificate, bd.gap_certificate(BlockPartition(r0, k), i),
+                                norm_r)
 
 
 class TestPlannerMatchesDenseReference:

@@ -30,11 +30,6 @@ class TestProfileAndStats:
         assert rm.density(binary_profile(4, [2, 2])) == 0.5
         assert rm.density(binary_profile(100, [1])) == pytest.approx(0.01)
 
-    def test_realized_density_submatrix(self):
-        x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        assert rm.realized_density(x) == pytest.approx(3 / 6)
-        assert rm.realized_density(x, rows=[0, 1], cols=[0]) == pytest.approx(1.0)
-
     def test_moment_ratio_constant(self):
         assert rm.moment_ratio([3.0, 3.0, 3.0]) == pytest.approx(1.0, abs=1e-15)
 
