@@ -9,7 +9,8 @@ Indexing note. The slice bound for the gap |sigma_i(R) - sigma_i(R0)| is
 computed with factor slices starting at row/column i (inclusive). The
 derivation bounds the rank-(i-1) truncation errors, whose values are the
 i-th singular values; the plane-rotation worked example (mu = c bounding the
-sigma_2 gap) pins this pairing down.
+sigma_2 gap) pins this pairing down. The three families that take i raise
+MatrixError unless 1 <= i <= n, before they read any spectrum.
 """
 
 from __future__ import annotations
@@ -107,12 +108,19 @@ def _sigma(s: np.ndarray, i: int) -> float:
     return float(s[i - 1]) if i <= s.size else 0.0
 
 
+def _check_index(p: BlockPartition, i: int):
+    """Raise MatrixError unless 1 <= i <= n, before any spectrum is read."""
+    if not (1 <= i <= p.n):
+        raise MatrixError(f"need 1 <= i <= n, got i={i}")
+
+
 def weyl_gap_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
     """Two-sided Weyl estimates for rank-i truncation errors of R vs R0.
 
     First report: |sigma_{i+1}(R) - sigma_{i+1}(R0)| <= ||D||.
     Second: ||R - R0_i|| within 2||D|| of sigma_{i+1}(R), oracle-evaluated.
     """
+    _check_index(p, i)
     p = _spectral(p)
     nd = p.norm_d
     tr = _sigma(p.sigma_r, i + 1)     # ||R - R_i||
@@ -120,8 +128,7 @@ def weyl_gap_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
     rep4 = BoundReport("Weyl-gap", i, p.k, lower=tr0 - nd, upper=tr0 + nd, oracle=tr)
     # Distance from R to the rank-i approximant of R0.
     u0, s0, vt0 = p.svd_r0
-    top = s0[:i]
-    r0i = (u0[:, : top.size] * top) @ vt0[: top.size]
+    r0i = (u0[:, :i] * s0[:i]) @ vt0[:i]
     cross = operator_norm(p.base - r0i)
     rep5 = BoundReport("Weyl-cross", i, p.k, lower=cross - 2 * nd,
                        upper=cross + 2 * nd, oracle=tr)
@@ -129,7 +136,8 @@ def weyl_gap_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
 
 
 def small_rank_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
-    """Bounds exploiting rank(R0) <= 2k."""
+    """Bounds exploiting rank(R0) <= 2k; the rank cap only when i >= 2k."""
+    _check_index(p, i)
     p = _spectral(p)
     nd = p.norm_d
     off = min(float(p.sigma_b[0]), float(p.sigma_c[0]))
@@ -161,8 +169,7 @@ def mu_bounds(p: BlockPartition, i: int) -> BoundReport:
     bound, mu_bar, is the max of the two mu values. For i > 2k it doubles
     as an absolute bound since sigma_i(R0) = 0.
     """
-    if not (1 <= i <= p.n):
-        raise MatrixError(f"need 1 <= i <= n, got i={i}")
+    _check_index(p, i)
     p = _spectral(p)
     mu_bar = max(_mu_slice(p.svd_r, p.d, i, p.k), _mu_slice(p.svd_r0, p.d, i, p.k))
     gap = abs(_sigma(p.sigma_r, i) - _sigma(p.sigma_r0, i))

@@ -113,13 +113,6 @@ class _SuiteChoices(Sequence):
         return len(self._names())
 
 
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """The errors that exit 2. ``PipelineError`` joins them once a command
-    has loaded ``pipeline``; a command that has not cannot raise it."""
-    pipeline = sys.modules.get(f"{__package__}.pipeline")
-    return (MatrixError, OSError) + ((pipeline.PipelineError,) if pipeline else ())
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``blocksvd`` parser, built once per process and shared by every
@@ -169,9 +162,7 @@ def main(argv=None) -> int:
                 "plan": _cmd_plan, "approx": _cmd_approx, "verify": _cmd_verify}
     try:
         return dispatch[args.command](args)
-    # Evaluated only when an error propagates, after the command has loaded
-    # its modules.
-    except _usage_errors() as exc:
+    except (MatrixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,8 @@
 """Dense numerical substrate: input validation, block partitions, norms
-(exact, a certified upper bound for non-negative blocks, and the Schur
-test), the gap certificate, numerical rank, the moment ratio of a positive
-sequence, and the named-check report that the Lemma 11 and condition (S1)
-diagnostics return.
+(the one block norm ``operator_norm``, a certified upper bound for
+non-negative blocks, and the Schur test), the gap certificate, numerical
+rank, the moment ratio of a positive sequence, and the named-check report
+that the Lemma 11 and condition (S1) diagnostics return.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -120,11 +120,25 @@ class BlockPartition:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; 0.0 for empty slices."""
+    """||m||_2 as s * sqrt(lambda_max(Y^T Y)), Y = m / s, s = max|m|, with
+    the Gram matrix on the smaller side; 0.0 for an empty or zero block.
+
+    With max|Y| = 1 the Gram matrix has an entry of at least 1, so squaring
+    can neither overflow nor lose lambda_max to underflow. Forming it and
+    eigvalsh each err by a few units of roundoff relative to lambda_max =
+    ||Y||^2, so the norm is within about 1e-15 relative of the SVD's, on
+    either side of it. Small singular values would lose their accuracy to
+    the squaring: spectra (sigma(A_t), the left band, the gap certificate's
+    left side) stay values-only SVDs, and ``certified_norm``'s exact
+    fallback takes the SVD's norm.
+    """
     a = np.asarray(m, dtype=float)
-    if a.size == 0:
+    s = float(np.abs(a).max()) if a.size else 0.0
+    if s == 0.0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    y = a / s
+    g = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+    return s * float(np.sqrt(np.linalg.eigvalsh(g)[-1]))
 
 
 @dataclass(frozen=True)
@@ -178,9 +192,10 @@ def _gamma(n: int) -> float:
 class NormBound:
     """A certified upper bound ``value`` on the operator norm.
 
-    ``method`` is ``"collatz-wielandt"`` or ``"svd"``; ``iterations`` counts
-    the matrix-vector pairs the Collatz-Wielandt iteration ran, also when it
-    gave up and the SVD was taken.
+    ``method`` is ``"collatz-wielandt"`` or ``"svd"`` (the exact
+    ``np.linalg.norm(D, 2)``); ``iterations`` counts the matrix-vector pairs
+    the Collatz-Wielandt iteration ran, also when it gave up and the SVD was
+    taken.
     """
 
     value: float
@@ -247,8 +262,9 @@ def certified_norm(m) -> NormBound:
 
     Non-negative matrices try ``collatz_wielandt_bound`` within the pairs
     one SVD costs (CW_PAIRS_PER_COLUMN per column of the smaller side);
-    a signed matrix, or one the iteration gives up on, gets the exact
-    ``operator_norm``.
+    a signed matrix, or one the iteration gives up on, gets ``"svd"``:
+    LAPACK's sigma_1, ``np.linalg.norm(m, 2)`` (0.0 when empty), not
+    ``operator_norm``'s Gram route, which may round below it.
     """
     a = np.asarray(m, dtype=float)
     pairs = 0
@@ -256,7 +272,7 @@ def certified_norm(m) -> NormBound:
         bound, pairs = collatz_wielandt_bound(a, CW_PAIRS_PER_COLUMN * min(a.shape))
         if bound is not None:
             return NormBound(bound, "collatz-wielandt", pairs)
-    return NormBound(operator_norm(a), "svd", pairs)
+    return NormBound(float(np.linalg.norm(a, 2)) if a.size else 0.0, "svd", pairs)
 
 
 def moment_ratio(values) -> float:

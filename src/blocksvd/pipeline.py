@@ -26,7 +26,7 @@ iteration on D^T D, stopped within 1e-12 of the Rayleigh quotient and
 padded by gamma_{m'+n'} for the rounding of its non-negative sums; for a
 signed D, or when the iteration would need more than 0.4 min(m', n')
 matrix-vector pairs (the measured cost of one SVD), the exact ||D||_2 from
-an SVD.
+an SVD, ``np.linalg.norm(D, 2)``.
 When the gap certificate sigma_i([A; C]) >= ||B|| holds, interlacing gives
 sigma_i(R0) >= ||B|| >= sigma_{k+1}(R0). Both sides come from the core:
 [A; C] = diag(I, Q_C) [A; R_C] and B = R_B^T Q_B^T, so sigma([A; C]) is
@@ -164,8 +164,9 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
                          transposed=transposed)
 
 
-class PipelineError(RuntimeError):
-    """Approximation refused (only past ``DENSE_LIMIT``); carries diagnostics."""
+class PipelineError(MatrixError):
+    """Approximation refused (only past ``DENSE_LIMIT``), a typed input
+    error; carries diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -183,12 +184,11 @@ class ApproxReport:
     ``norm_d_method`` says how the bound was taken: ``"collatz-wielandt"``
     (a non-negative m' x n' block D, power iteration on D^T D padded by
     gamma_{m'+n'} for rounding, never below ||D||_2 and within about 1e-12
-    of it) or
-    ``"svd"`` (the exact ||D||_2, taken for a signed D and when the
-    iteration would need more pairs than its cap, about one SVD's
-    cost). ``norm_d_iterations`` counts
-    the iteration's matrix-vector pairs, including those run before it
-    gave way to the SVD. ``certificate`` is the gap condition
+    of it) or ``"svd"`` (the exact ||D||_2, ``np.linalg.norm(D, 2)``, taken
+    for a signed D and when the iteration would need more pairs than its
+    cap, about one SVD's cost). ``norm_d_iterations`` counts the
+    iteration's matrix-vector pairs, including those run before it gave way
+    to the SVD. ``certificate`` is the gap condition
     sigma_i([A; C]) >= ||B||, read from the same core: sigma([A; C]) =
     sigma([A; R_C]) and ||B|| = ||R_B||, since Q_C and Q_B have
     orthonormal columns.

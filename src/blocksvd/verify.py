@@ -76,11 +76,14 @@ def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
 def verify_matcore(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("matcore", seed, trials)
     rng = rm.stream(seed, 0)
-    worst_schur = np.inf
+    worst_schur = worst_norm = np.inf
     for _ in range(max(trials, 1)):
         a = rng.standard_normal((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
-        worst_schur = min(worst_schur, mc.schur_test_bound(a) - mc.operator_norm(a))
+        norm, exact = mc.operator_norm(a), np.linalg.norm(a, 2)
+        worst_schur = min(worst_schur, mc.schur_test_bound(a) - norm)
+        worst_norm = min(worst_norm, 1e-13 * exact - abs(norm - exact))
     rep.add("schur_bound_dominates_norm", worst_schur, tol=1e-12)
+    rep.add("operator_norm_matches_svd", worst_norm)
     return rep
 
 
@@ -300,7 +303,7 @@ def verify_pipeline(seed: int, trials: int) -> VerifyReport:
 
 def _norm_d_margin(report: pl.ApproxReport, r: np.ndarray, k: int) -> float:
     """Relative room of norm_d inside [||D||_2, ||D||_2 (1 + 1e-9)]."""
-    exact = mc.operator_norm(r[k:, k:])
+    exact = np.linalg.norm(r[k:, k:], 2)
     if exact == 0.0:
         return 0.0 if report.norm_d == 0.0 else -1.0
     return min(report.norm_d - exact, exact * (1 + 1e-9) - report.norm_d) / exact

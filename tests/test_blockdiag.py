@@ -133,43 +133,38 @@ class TestBlockDiagonalize:
         assert bd.check_lemma11(res.trace).all_passed
 
 
-def _mixed_magnitudes():
-    x = np.where(np.random.default_rng(5).random((30, 12)) < 0.5, 1.0, 1e-180)
-    x[:, 3] = 1e-180        # a column with no entry above 1e-180
-    return x
+class TestAppendState:
+    def test_svd_only_for_spectra(self, monkeypatch):
+        # sigma(A_t) and sigma([A_t; C_t]) are SVDs; every norm comes from
+        # operator_norm and none from np.linalg.norm(., 2)
+        real_svd, real_norm = np.linalg.svd, np.linalg.norm
+        calls = []
 
+        def svd(x, *args, **kwargs):
+            calls.append(x.shape)
+            return real_svd(x, *args, **kwargs)
 
-class TestGramNorm:
-    @pytest.mark.parametrize("x", [
-        pytest.param(np.outer(np.arange(1.0, 8.0), np.arange(1.0, 5.0)), id="rank-one"),
-        pytest.param(np.random.default_rng(1).standard_normal((60, 14)), id="tall"),
-        pytest.param(np.random.default_rng(2).standard_normal((9, 50)), id="wide"),
-        pytest.param(np.random.default_rng(3).random((25, 25)), id="square"),
-        pytest.param(1e-200 * np.random.default_rng(4).standard_normal((40, 10)), id="1e-200"),
-        pytest.param(1e200 * np.random.default_rng(4).standard_normal((10, 40)), id="1e200"),
-        pytest.param(_mixed_magnitudes(), id="1-and-1e-180"),
-    ])
-    def test_matches_operator_norm(self, x):
-        want = mc.operator_norm(x)
-        assert abs(bd._gram_norm(x) - want) <= 1e-13 * want
+        def norm(x, ord=None, *args, **kwargs):
+            assert ord != 2, "trace norms come from operator_norm"
+            return real_norm(x, ord, *args, **kwargs)
 
-    def test_zero_block(self):
-        assert bd._gram_norm(np.zeros((6, 3))) == 0.0
-        assert bd._gram_norm(np.zeros((3, 6))) == 0.0
-
-    def test_trace_takes_no_operator_norm(self, monkeypatch):
-        def refuse(_):
-            raise AssertionError("trace norms come from _gram_norm")
-
-        monkeypatch.setattr(mc, "operator_norm", refuse)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "norm", norm)
         p = random_partition(30, 12, 4, scale_left=5.0)
         trace = bd.SweepTrace(k=4, n=p.n)
         trace.append_state(0, p)
-        rec = trace.records[0]
-        for name, block in (("norm_b", p.b), ("norm_c", p.c), ("norm_d", p.d),
-                            ("norm_right_band", p.right_band())):
-            want = np.linalg.norm(block, 2)
-            assert abs(getattr(rec, name) - want) <= 1e-13 * want, name
+        assert calls == [(4, 4), (30, 4)]
+        calls.clear()
+        zero_c = p.base.copy()
+        zero_c[4:, :4] = 0.0
+        trace.append_state(1, mc.BlockPartition(zero_c, 4))
+        assert calls == [(4, 4)]
+        monkeypatch.undo()
+        for rec, q in zip(trace.records, (p, mc.BlockPartition(zero_c, 4))):
+            for name, block in (("norm_b", q.b), ("norm_c", q.c), ("norm_d", q.d),
+                                ("norm_right_band", q.right_band())):
+                want = np.linalg.norm(block, 2)
+                assert abs(getattr(rec, name) - want) <= 1e-13 * want, name
 
 
 class TestSweepRecordJson:

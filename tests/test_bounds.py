@@ -39,14 +39,14 @@ class TestWeylGapBounds:
         assert rep.oracle == pytest.approx(0.5, abs=1e-12)
         assert rep.upper - rep.oracle <= 0.5 + 1e-12
 
-    @pytest.mark.parametrize("i", [1, 3, 6, 8])
+    @pytest.mark.parametrize("i", [1, 3, 6])
     def test_cross_centre_is_distance_to_r0_truncation(self, i):
         # the centre of Weyl-cross is ||R - R0_i||, R0_i the rank-i truncation
-        # of R0 (R0 itself once i >= n), against a dense reference
+        # of R0 (R0 itself at i = n), against a dense reference
         p = random_partition(8, 6, 2)
         u, s, vt = np.linalg.svd(p.zero_d())
         s_tr = np.zeros((8, 6))
-        s_tr[: min(i, 6), : min(i, 6)] = np.diag(s[:i])
+        s_tr[:i, :i] = np.diag(s[:i])
         want = np.linalg.norm(p.base - u @ s_tr @ vt, 2)
         cross = bo.weyl_gap_bounds(p, i)[1]
         assert (cross.upper + cross.lower) / 2 == pytest.approx(want, rel=1e-13, abs=1e-13)

@@ -264,6 +264,25 @@ class TestNumericOptions:
         assert run(["approx", path, "--k", 3, "--i", i]) == 2
         assert capsys.readouterr().err.startswith("error: need 1 <= i <= k")
 
+    @pytest.mark.parametrize("i", [-1, 0, 9], ids=["i-negative", "i-zero", "i-past-n"])
+    def test_bounds_value_index(self, tmp_path, monkeypatch, capsys, i):
+        # every family refuses i outside 1..n before it reads a spectrum
+        r = np.random.default_rng(6).standard_normal((12, 8))
+        path = tmp_path / "r.mtx"
+        mmio.write_matrix(path, r)
+        message = f"need 1 <= i <= n, got i={i}"
+        p = bn.SpectralPartition(r, 3)
+        for family in (bn.weyl_gap_bounds, bn.small_rank_bounds, bn.mu_bounds):
+            with pytest.raises(MatrixError, match=message):
+                family(p, i)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no spectrum before the index check")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert run(["bounds", path, "--k", 3, "--i", i]) == 2
+        assert capsys.readouterr().err.startswith("error: need 1 <= i <= n")
+
 
 class TestUndecodableInput:
     @pytest.mark.parametrize("command", [["approx", "--k", 1, "--i", 1], ["bounds", "--k", 1]],

@@ -71,6 +71,32 @@ class TestNorms:
         assert mc.schur_test_bound(m) >= mc.operator_norm(m) - 1e-12
 
 
+def _mixed_magnitudes():
+    x = np.where(np.random.default_rng(5).random((30, 12)) < 0.5, 1.0, 1e-180)
+    x[:, 3] = 1e-180        # a column with no entry above 1e-180
+    return x
+
+
+class TestOperatorNorm:
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.outer(np.arange(1.0, 8.0), np.arange(1.0, 5.0)), id="rank-one"),
+        pytest.param(np.random.default_rng(1).standard_normal((60, 14)), id="tall"),
+        pytest.param(np.random.default_rng(2).standard_normal((9, 50)), id="wide"),
+        pytest.param(np.random.default_rng(3).random((25, 25)), id="square"),
+        pytest.param(1e-200 * np.random.default_rng(4).standard_normal((40, 10)), id="1e-200"),
+        pytest.param(1e200 * np.random.default_rng(4).standard_normal((10, 40)), id="1e200"),
+        pytest.param(_mixed_magnitudes(), id="1-and-1e-180"),
+    ])
+    def test_matches_svd_norm(self, x):
+        want = np.linalg.norm(x, 2)
+        assert abs(mc.operator_norm(x) - want) <= 1e-13 * want
+
+    def test_zero_and_empty_blocks(self):
+        assert mc.operator_norm(np.zeros((6, 3))) == 0.0
+        assert mc.operator_norm(np.zeros((3, 6))) == 0.0
+        assert mc.operator_norm(np.ones((4, 5))[4:, :]) == 0.0
+
+
 NONNEG_KINDS = ("sparse", "zero", "zero_lines", "rank_one", "block_diagonal")
 
 
@@ -109,7 +135,7 @@ class TestCertifiedNorm:
         d = np.random.default_rng(4).standard_normal((30, 20))
         nb = mc.certified_norm(d)
         assert (nb.method, nb.iterations) == ("svd", 0)
-        assert nb.value == mc.operator_norm(d)
+        assert nb.value == np.linalg.norm(d, 2)
 
     def test_dense_positive_takes_iteration(self):
         d = np.random.default_rng(5).random((300, 100))
@@ -135,7 +161,7 @@ class TestCertifiedNorm:
         nb = mc.certified_norm(d)
         assert nb.method == "svd"
         assert 1 <= nb.iterations <= 10
-        assert nb.value == mc.operator_norm(d)
+        assert nb.value == np.linalg.norm(d, 2)
 
     def test_small_block_skips_iteration(self):
         # one SVD of a 2 x 2 block costs less than one pair of products
