@@ -240,15 +240,12 @@ def top_singular_values(p: BlockPartition, i: int):
 
 @dataclass(frozen=True)
 class KyFanReport:
-    """Both partial-sum margins at index i; ``holds`` when neither is negative."""
+    """Both partial-sum margins at index i; each is >= -KYFAN_TOL when the
+    Ky Fan comparison holds."""
 
     i: int
     head_margin: float   # sum_{j<=i} sigma_j^2 - sum_{j<=i} ||v_j||^2 >= 0
     tail_margin: float   # sum_{j>i} ||v_j||^2 - sum_{j>i} sigma_j^2 >= 0
-
-    @property
-    def holds(self) -> bool:
-        return self.head_margin >= -KYFAN_TOL and self.tail_margin >= -KYFAN_TOL
 
 
 def kyfan_column_bounds(y, i: int) -> KyFanReport:

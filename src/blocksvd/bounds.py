@@ -5,12 +5,14 @@ Conventions. R is the partitioned matrix, R0 the same matrix with its
 bottom-right block D zeroed. Truncation errors ||R - R_i|| are evaluated as
 sigma_{i+1}(R) rather than by forming the rank-i approximant.
 
-Indexing note. The slice bound for the gap |sigma_i(R) - sigma_i(R0)| is
-computed with factor slices starting at row/column i (inclusive). The
-derivation bounds the rank-(i-1) truncation errors, whose values are the
-i-th singular values; the plane-rotation worked example (mu = c bounding the
-sigma_2 gap) pins this pairing down. The three families that take i raise
-MatrixError unless 1 <= i <= n, before they read any spectrum.
+Indexing note. The slice bound for the gap |sigma_i(R) - sigma_i(R0)| reads
+the singular vectors from the i-th on (inclusive): the right slice takes
+rows i.. of V^T, and the left slice projects out the first i - 1 left
+singular vectors. The derivation bounds the rank-(i-1) truncation errors,
+whose values are the i-th singular values; the plane-rotation worked
+example (mu = c bounding the sigma_2 gap) pins this pairing down. The three
+families that take i raise MatrixError unless 1 <= i <= n, before they read
+any spectrum.
 """
 
 from __future__ import annotations
@@ -57,12 +59,12 @@ class BoundReport:
 @dataclass(frozen=True)
 class SpectralPartition(BlockPartition):
     """A BlockPartition that keeps what the bound functions read, each
-    computed on first use: one full ``np.linalg.svd`` of R and one of R0,
-    ``(u, s, vt)``, whose ``s`` are ``sigma_r`` and ``sigma_r0``; the
-    spectra of B and C; and ||D||. Each bound function takes one in place of
-    a plain partition, so passing the same one to several computes each
-    once. It holds a read-only copy of the matrix, so nothing can go
-    stale."""
+    computed on first use: one thin ``np.linalg.svd`` of R and one of R0,
+    ``(u, s, vt)`` with ``u`` m x n and ``vt`` n x n, whose ``s`` are
+    ``sigma_r`` and ``sigma_r0``; the spectra of B and C; and ||D||. No
+    m x m factor is formed. Each bound function takes one in place of a
+    plain partition, so passing the same one to several computes each once.
+    It holds a read-only copy of the matrix, so nothing can go stale."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -72,11 +74,11 @@ class SpectralPartition(BlockPartition):
 
     @cached_property
     def svd_r(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.base)
+        return np.linalg.svd(self.base, full_matrices=False)
 
     @cached_property
     def svd_r0(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.zero_d())
+        return np.linalg.svd(self.zero_d(), full_matrices=False)
 
     @property
     def sigma_r(self) -> np.ndarray:
@@ -154,11 +156,15 @@ def small_rank_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
 
 
 def _mu_slice(svd_factors, d: np.ndarray, i: int, k: int) -> float:
-    """min of the two slice norms for the gap at index i (1-based; slices
-    from i on), ||D V[k:, i-1:]|| and ||U[k:, i-1:]^T D||, from the full SVD
-    factors ``(u, s, vt)`` of R or R0."""
+    """min of the two slice norms for the gap at index i (1-based; vectors
+    from i on), ||D V[k:, i-1:]|| and ||U[k:, i-1:]^T D||, from the thin SVD
+    factors ``(u, s, vt)`` of R or R0. The left one is taken as
+    ||(I - U_{i-1} U_{i-1}^T) [0; D]||, U_{i-1} = u[:, :i-1]: [0; D] has k
+    zero rows and the full U is orthogonal, so the two are equal."""
     u, _, vt = svd_factors
-    return min(operator_norm(d @ vt[i - 1 :, k:].T), operator_norm(u[k:, i - 1 :].T @ d))
+    left = u[:, : i - 1] @ (u[k:, : i - 1].T @ d)   # U_{i-1} U_{i-1}^T [0; D]
+    left[k:] -= d                                     # minus [0; D]: same norm
+    return min(operator_norm(d @ vt[i - 1 :, k:].T), operator_norm(left))
 
 
 def mu_bounds(p: BlockPartition, i: int) -> BoundReport:
@@ -184,18 +190,18 @@ def example1_sigma2(c: float, s: float) -> float:
 
 
 def kernel_restricted_norm(d, kmat) -> float:
-    """||D restricted to ker K||: norm of D times an orthonormal kernel basis
-    of K; zero when K has full column rank."""
+    """||D restricted to ker K||, as ||D - (D V_r) V_r^T|| with V_r the thin
+    orthonormal row-space basis of K; zero when K has full column rank."""
     d = as_matrix(d)
     kmat = as_matrix(kmat)
     if d.shape[1] != kmat.shape[1]:
         raise MatrixError(f"columns of D ({d.shape[1]}) must match columns of K ({kmat.shape[1]})")
-    _, s, vt = np.linalg.svd(kmat)
+    _, s, vt = np.linalg.svd(kmat, full_matrices=False)
     rank = numerical_rank(s)
     if rank >= kmat.shape[1]:
         return 0.0
-    basis = vt[rank:].T
-    return operator_norm(d @ basis)
+    vr = vt[:rank].T
+    return operator_norm(d - (d @ vr) @ vr.T)
 
 
 def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:

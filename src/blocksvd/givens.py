@@ -122,17 +122,9 @@ class BlockRotationFactors:
     middle: np.ndarray
 
     def assemble(self) -> np.ndarray:
-        return _block_diag(self.q1, self.q2) @ self.middle @ _block_diag(self.q1p, self.q2p)
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a, b) for square blocks a and b."""
-    k = a.shape[0]
-    n = k + b.shape[0]
-    out = np.zeros((n, n))
-    out[:k, :k] = a
-    out[k:, k:] = b
-    return out
+        import scipy.linalg  # imported here: slow to load, as in block_rotation_decompose
+        return (scipy.linalg.block_diag(self.q1, self.q2) @ self.middle
+                @ scipy.linalg.block_diag(self.q1p, self.q2p))
 
 
 def _check_pivot(sigma_a: np.ndarray) -> None:
@@ -258,12 +250,12 @@ def block_rotation_decompose(q, k: int) -> BlockRotationFactors:
     dev = operator_norm(q.T @ q - np.eye(n))
     if dev > ORTH_TOL * n:
         raise MatrixError(f"input is not orthogonal within tolerance (deviation {dev:.3e})")
-    import scipy.linalg  # imported here: slow to load, and only this function uses it
+    import scipy.linalg  # imported here: slow to load, and only the CS path uses it
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(q, p=k, q=k, separate=True)
     # theta holds min(k, n-k) angles in [0, pi/2]; angles ~0 are trivial
     # identity directions. The middle factor is recovered by sandwiching,
     # which respects whatever block layout LAPACK chose.
-    middle = _block_diag(u1, u2).T @ q @ _block_diag(v1h, v2h).T
+    middle = scipy.linalg.block_diag(u1, u2).T @ q @ scipy.linalg.block_diag(v1h, v2h).T
     cos_all = np.cos(theta)
     sin_all = np.sin(theta)
     nontrivial = sin_all > TRIG_TOL

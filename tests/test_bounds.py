@@ -126,6 +126,60 @@ class TestMuBounds:
             assert rep.upper <= mc.operator_norm(p.d) + 1e-12
 
 
+def completion_mu(p, i):
+    """The slice bound from full SVD factors, with the m x m U: the
+    reference that the thin factors' projection must reproduce."""
+    k, d = p.k, p.d
+
+    def mu(r):
+        u, _, vt = np.linalg.svd(r)
+        return min(np.linalg.norm(d @ vt[i - 1 :, k:].T, 2),
+                   np.linalg.norm(u[k:, i - 1 :].T @ d, 2))
+    return max(mu(p.base), mu(p.zero_d()))
+
+
+def completion_kernel_norm(d, kmat):
+    """||D restricted to ker K|| from the full SVD's kernel basis of K."""
+    _, s, vt = np.linalg.svd(kmat)
+    rank = mc.numerical_rank(s)
+    return 0.0 if rank >= kmat.shape[1] else np.linalg.norm(d @ vt[rank:].T, 2)
+
+
+def thin_case(case):
+    """(R, k) for one partition shape of TestThinFactorsMatchCompletion."""
+    rng = np.random.default_rng(19)
+    m, n, k = {"tall": (48, 10, 4), "square": (8, 8, 4), "k_is_n_minus_1": (12, 6, 5),
+               "zero_d": (20, 5, 2), "rank_deficient_b_c": (40, 9, 3),
+               "rank_deficient_square": (6, 6, 3)}[case]
+    r = rng.standard_normal((m, n))
+    if case == "zero_d":
+        r[k:, k:] = 0.0
+    if case.startswith("rank_deficient"):   # B and C of rank one
+        r[:k, k:] = np.outer(rng.standard_normal(k), rng.standard_normal(n - k))
+        r[k:, :k] = np.outer(rng.standard_normal(m - k), rng.standard_normal(k))
+    return r, k
+
+
+class TestThinFactorsMatchCompletion:
+    """The left mu slice and the kernel norms are taken by projection from
+    thin factors; they agree with the completion formulas (full U, full
+    kernel basis) within 1e-13 max(1, ||D||), at every i from 1 (nothing
+    projected out) to n."""
+
+    @pytest.mark.parametrize("case", ["tall", "square", "k_is_n_minus_1", "zero_d",
+                                      "rank_deficient_b_c", "rank_deficient_square"])
+    def test_same_as_completion(self, case):
+        p = mc.BlockPartition(*thin_case(case))
+        tol = 1e-13 * max(1.0, np.linalg.norm(p.d, 2))
+        for i in range(1, p.n + 1):
+            assert abs(bo.mu_bounds(p, i).upper - completion_mu(p, i)) <= tol, i
+        for d, kmat in ((p.d, p.b), (p.d.T, p.c.T)):
+            got = bo.kernel_restricted_norm(d, kmat)
+            assert abs(got - completion_kernel_norm(d, kmat)) <= tol
+            if case.startswith("rank_deficient"):   # the projecting path ran
+                assert got > 0.0
+
+
 class TestKernelRestrictedNorm:
     def test_full_rank_zero(self):
         k = RNG.standard_normal((4, 3))
@@ -248,28 +302,33 @@ def test_report_json_round():
 
 
 class TestBoundsCommandSpectra:
-    # (m, n, k, i): a tall case with the rank-cap report (i >= 2k), and a
-    # square n = m = 2k case with the Cor5 report
-    @pytest.mark.parametrize("m,n,k,i", [(30, 12, 4, 8), (8, 8, 4, 2)])
+    # (m, n, k, i): a tall case with the rank-cap report (i >= 2k), a
+    # square n = m = 2k case with the Cor5 report, and a tall m > 7n case
+    # with the rank-cap report
+    @pytest.mark.parametrize("m,n,k,i", [(30, 12, 4, 8), (8, 8, 4, 2), (60, 8, 3, 6)])
     def test_each_spectrum_once_and_reports_unchanged(self, tmp_path, monkeypatch, m, n, k, i):
         rng = np.random.default_rng(m * n + k)
         path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
         mmio.write_matrix(path, rng.standard_normal((m, n)) + 3.0 * np.eye(m, n))
-        calls = []
+        calls, full = [], []
         real_svd = np.linalg.svd
 
-        def counting_svd(a, *args, **kwargs):
+        def counting_svd(a, full_matrices=True, compute_uv=True, **kwargs):
             a = np.asarray(a)
+            if compute_uv and full_matrices:
+                full.append(a.shape)
             if a.shape == (m, n):  # R or R0, told apart by their D block
-                calls.append((kwargs.get("compute_uv", True), bool(a[k:, k:].any())))
-            return real_svd(a, *args, **kwargs)
+                calls.append((compute_uv, bool(a[k:, k:].any())))
+            return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         code = cli.main(["bounds", str(path), "--k", str(k), "--i", str(i), "-o", str(out)])
         monkeypatch.undo()
         assert code == 0
-        # one full SVD of R, one of R0, and no values-only SVD of either
+        # one SVD with vectors of R, one of R0, and no values-only SVD of
+        # either; no SVD that returns vectors forms a full orthogonal factor
         assert sorted(calls) == [(True, False), (True, True)], calls
+        assert full == [], full
 
         rep = json.loads(out.read_text())
         p = mc.BlockPartition(mmio.read_matrix(path), k)
