@@ -9,7 +9,7 @@ moment ratio converging to sqrt(1 + 1/alpha).
 import numpy as np
 
 from blocksvd import (ColumnProfile, GammaSpec, RandomColumnModel, check_S1,
-                      empirical_gram, expected_gram, gamma_rho_prediction,
+                      empirical_gram, gamma_rho_prediction,
                       moment_ratio, sample_sizes_truncated_gamma, stream,
                       theorem3_bounds)
 
@@ -23,12 +23,11 @@ for item in check_S1(profile).checks:
           f"(margin {item.margin:+.3f})")
 
 model = RandomColumnModel("binary", m, sizes=sizes, seed=7)
-rep = empirical_gram(model, profile, trials=5000)
+rep = empirical_gram(model, trials=5000)
 print(f"\nempirical vs expected Gram over 5000 trials: "
       f"max deviation {rep.max_abs_dev:.4f} ({rep.max_abs_dev / rep.max_se:.1f} SE)")
 
 print("\nexpected-spectrum sandwich (sorted squared norms as anchors):")
-g = expected_gram(profile).g
 for bound in theorem3_bounds(profile):
     print(f"  i={bound.i}: {bound.lower:8.3f} <= sigma_i(G) = "
           f"{bound.oracle:8.3f} <= {bound.upper:8.3f}")

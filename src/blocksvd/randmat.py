@@ -24,13 +24,13 @@ from .bounds import BoundReport
 from .matcore import CheckItem, CheckReport, MatrixError, moment_ratio
 
 DEFAULT_SLACK_C = 4.0    # multiplier on the L/m slack terms
-BAND_CONST_C = 2.0       # constant of the fluctuation band c sqrt((k-1)/(m-1)) r0^2
 MAX_DRAWS = 10**4        # rejection draws per column before SamplerStarvation
 SIZE_TOL = 1e-12
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a named substream of a base seed."""
+    """Independent generator for a named substream of a non-negative base seed."""
+    _check_count("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
@@ -114,21 +114,6 @@ class ColumnProfile:
         """Size-to-squared-norm ratios."""
         return self.sizes / self.sq_norms()
 
-    def to_json(self) -> dict:
-        out = {"m": self.m, "k": self.k, "sizes": self.sizes.tolist()}
-        if self.norms is not None:
-            out["norms"] = self.norms.tolist()
-        else:
-            out["expected_sq_norms"] = self.expected_sq_norms.tolist()
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "ColumnProfile":
-        return ColumnProfile(m=int(obj["m"]), sizes=np.asarray(obj["sizes"], dtype=float),
-                             norms=np.asarray(obj["norms"], dtype=float) if "norms" in obj else None,
-                             expected_sq_norms=(np.asarray(obj["expected_sq_norms"], dtype=float)
-                                                if "expected_sq_norms" in obj else None))
-
 
 def density(profile: ColumnProfile) -> float:
     """Average entry mass: sum of sizes over m*k."""
@@ -169,30 +154,13 @@ def check_S1(profile: ColumnProfile) -> CheckReport:
 # Expected Gram matrix and spectrum sandwich
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GramFactors:
-    """E(X^T X) = g and the factors of its rank-one-plus-diagonal form."""
-
-    g: np.ndarray
-    d_k: np.ndarray
-    h_k: np.ndarray
-    e_k: np.ndarray
-    u_k: np.ndarray
-
-
-def expected_gram(profile: ColumnProfile) -> GramFactors:
-    """E(X^T X): diagonal of (expected) squared norms, off-diagonal
-    s_i s_j / m, with its rank-one-plus-diagonal factorization."""
-    s = profile.sizes
-    w = profile.sq_norms()
-    m = profile.m
-    g = np.outer(s, s) / m
-    np.fill_diagonal(g, w)
-    d_k = np.diag(w)
-    h_k = np.diag(1.0 - s**2 / (m * w))
-    e_k = s / w
-    u_k = s.copy()
-    return GramFactors(g=g, d_k=d_k, h_k=h_k, e_k=e_k, u_k=u_k)
+def expected_gram(profile: ColumnProfile) -> np.ndarray:
+    """E(X^T X) as a k x k array: the (expected) squared norms w on the
+    diagonal, s_i s_j / m off it. It equals D_k (H_k + e_k u_k^T / m) with
+    D_k = diag(w), H_k = diag(1 - s^2/(m w)), e_k = s/w and u_k = s."""
+    g = np.outer(profile.sizes, profile.sizes) / profile.m
+    np.fill_diagonal(g, profile.sq_norms())
+    return g
 
 
 def _sandwich(profile: ColumnProfile, delta: float, rho: float, slack_c: float,
@@ -207,7 +175,7 @@ def _sandwich(profile: ColumnProfile, delta: float, rho: float, slack_c: float,
     """
     slack = slack_c * profile.L / profile.m
     w_sorted = np.sort(profile.sq_norms())[::-1]
-    sig = np.linalg.eigvalsh(expected_gram(profile).g)[::-1]
+    sig = np.linalg.eigvalsh(expected_gram(profile))[::-1]
     upper_factor = 1.0 + profile.k * delta * rho
     if profile.norms is None:
         upper_factor += slack
@@ -291,8 +259,9 @@ def sample_column_fixed_size_norm(m: int, s: float, b: float,
 class RandomColumnModel:
     """A k-column ensemble: kind is "binary", "fixed-size" or
     "fixed-size-and-norm". Needs m >= 1 and finite, positive sizes, whole
-    numbers no larger than m for binary columns. Norms are required only
-    for the last kind, and match the sizes in length when given."""
+    numbers no larger than m for binary columns. Norms are required for
+    the last kind, whose sampler uses them, and refused for the others;
+    they match the sizes in length."""
 
     kind: str
     m: int
@@ -307,13 +276,14 @@ class RandomColumnModel:
         object.__setattr__(self, "sizes", sizes)
         if self.kind == "binary" and not np.all((sizes == np.floor(sizes)) & (sizes <= self.m)):
             raise MatrixError(f"binary sizes must be whole numbers <= m={self.m}")
+        if (self.kind == "fixed-size-and-norm") != (self.norms is not None):
+            raise MatrixError("norms are required for a fixed-size-and-norm model "
+                              "and refused for any other kind")
         if self.norms is not None:
             norms = np.asarray(self.norms, dtype=float)
             object.__setattr__(self, "norms", norms)
             if norms.shape != sizes.shape:
                 raise MatrixError("norms must match sizes in length")
-        if self.kind == "fixed-size-and-norm" and self.norms is None:
-            raise MatrixError("fixed-size-and-norm model needs norms")
 
     @property
     def k(self) -> int:
@@ -348,14 +318,6 @@ class RandomColumnModel:
 # ---------------------------------------------------------------------------
 # Monte Carlo checks
 # ---------------------------------------------------------------------------
-
-def _check_ensemble(profile: ColumnProfile, model: RandomColumnModel) -> None:
-    """Refuse a profile and a model that describe different ensembles."""
-    for name, p, q in (("m", profile.m, model.m), ("column count", profile.k, model.k)):
-        if p != q:
-            raise MatrixError(f"profile and model differ in {name}: "
-                              f"profile has {p}, model has {q}")
-
 
 @dataclass(frozen=True)
 class MomentCheck:
@@ -431,10 +393,10 @@ class EmpiricalGramReport:
     max_se: float
 
 
-def empirical_gram(model: RandomColumnModel, profile: ColumnProfile,
-                   trials: int) -> EmpiricalGramReport:
-    """Average of X^T X over trials against the expected Gram matrix."""
-    _check_ensemble(profile, model)
+def empirical_gram(model: RandomColumnModel, trials: int) -> EmpiricalGramReport:
+    """Average of X^T X over trials against the expected Gram matrix of
+    ``model.profile()`` (a MatrixError for a fixed-size model, which has none)."""
+    profile = model.profile()
     _check_count("trials", trials, 1)
     k = model.k
     acc = np.zeros((k, k))
@@ -447,7 +409,7 @@ def empirical_gram(model: RandomColumnModel, profile: ColumnProfile,
     g_hat = acc / trials
     var = np.maximum(acc2 / trials - g_hat**2, 0.0)
     se = np.sqrt(var / trials)
-    g = expected_gram(profile).g
+    g = expected_gram(profile)
     return EmpiricalGramReport(g_hat=g_hat, g=g,
                                max_abs_dev=float(np.abs(g_hat - g).max()),
                                max_se=float(se.max()))
@@ -455,17 +417,15 @@ def empirical_gram(model: RandomColumnModel, profile: ColumnProfile,
 
 @dataclass
 class FluctuationReport:
-    """Mean sampled sigma_i^2(X) against sigma_i(E X^T X), its bands and margins."""
+    """Mean sampled sigma_i^2(X) against sigma_i(E X^T X), with the
+    fluctuation band and the partial-sum (Ky Fan style) head margins."""
 
     frak_n: float
     band_fro: float            # sqrt((k-1)/(m-1)) * frak_n
-    band_r0: float             # (k-1)/sqrt(m-1) * r0^2
-    band_const: float          # c * sqrt((k-1)/(m-1)) * r0^2
     sigma_g: np.ndarray
     e_sigma2: np.ndarray
     e_sigma2_se: np.ndarray
     kyfan_head_margins: np.ndarray   # E sum_{j<=i} sigma_j^2(X) - sum sigma_j(G)
-    kyfan_tail_margins: np.ndarray
 
     def containment(self, band: float, n_se: float = 0.0) -> bool:
         tol = band + n_se * self.e_sigma2_se
@@ -483,19 +443,16 @@ def fluctuation_frak_n(profile: ColumnProfile) -> float:
     return float(sum(r[p] * np.sqrt(total - r[p] ** 2) for p in range(r.size)))
 
 
-def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
-                       trials: int) -> FluctuationReport:
-    """Monte Carlo comparison of E(sigma_i^2(X)) with the expected Gram
-    spectrum, plus partial-sum (Ky Fan style) margins in expectation."""
-    _check_ensemble(profile, model)
+def fluctuation_bounds(model: RandomColumnModel, trials: int) -> FluctuationReport:
+    """Monte Carlo comparison of E(sigma_i^2(X)) with the spectrum of the
+    expected Gram matrix of ``model.profile()`` (a MatrixError for a
+    fixed-size model), plus partial-sum head margins in expectation."""
+    profile = model.profile()
     _check_count("trials", trials, 1)
     m, k = profile.m, profile.k
-    _check_count("m", m, 2)  # the bands divide by m - 1
+    _check_count("m", m, 2)  # the band divides by m - 1
     frak_n = fluctuation_frak_n(profile)
-    r = radial_norms(profile)
-    r0 = float(r.max()) if r.size else 0.0
-    g = expected_gram(profile).g
-    sigma_g = np.sort(np.linalg.eigvalsh(g))[::-1]
+    sigma_g = np.sort(np.linalg.eigvalsh(expected_gram(profile)))[::-1]
     sig2 = np.empty((trials, k))
     for t in range(trials):
         x = model.sample_matrix(t)
@@ -506,18 +463,11 @@ def fluctuation_bounds(profile: ColumnProfile, model: RandomColumnModel,
     e_sigma2 = sig2.mean(axis=0)
     se = sig2.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros(k)
     heads = np.cumsum(e_sigma2) - np.cumsum(sigma_g)
-    rho = moment_ratio(profile.sizes)
-    factor = 1.0 + rho + DEFAULT_SLACK_C * profile.L / m
-    tail_sig2 = e_sigma2[::-1].cumsum()[::-1]
-    tail_g = sigma_g[::-1].cumsum()[::-1]
-    tails = factor * tail_g - tail_sig2
     return FluctuationReport(
         frak_n=frak_n,
         band_fro=float(np.sqrt((k - 1) / (m - 1)) * frak_n),
-        band_r0=float((k - 1) / np.sqrt(m - 1) * r0**2),
-        band_const=float(BAND_CONST_C * np.sqrt((k - 1) / (m - 1)) * r0**2),
         sigma_g=sigma_g, e_sigma2=e_sigma2, e_sigma2_se=se,
-        kyfan_head_margins=heads, kyfan_tail_margins=tails)
+        kyfan_head_margins=heads)
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +523,11 @@ def gamma_rho_prediction(spec: GammaSpec) -> float:
 
 @dataclass
 class Corollary10Report:
-    """Corollary 10's sandwich on one resample, its containment over all
-    resamples, and the sampled density against alpha/(m*beta)."""
+    """Corollary 10's sandwich on one resample and its containment over all
+    resamples."""
 
     reports: list[BoundReport]            # per-index, representative resample
     containment_fraction: float
-    delta_check: MomentCheck
     precondition_ok: bool
 
 
@@ -602,19 +551,15 @@ def corollary10_bounds(m: int, k: int, spec: GammaSpec, resamples: int,
     delta_formula = spec.alpha / (m * spec.beta)
     rho = gamma_rho_prediction(spec)
     contained = 0
-    deltas = np.empty(resamples)
     precond = spec.a == 1.0 and spec.alpha >= 1.0 and spec.beta <= 1.0 / np.sqrt(k)
     for t in range(resamples):
         sizes = sample_sizes_truncated_gamma(k, spec, stream(seed, t))
         prof = _binaryized_profile(sizes, m)
-        deltas[t] = density(prof)
         sandwich = _sandwich(prof, delta_formula, rho, DEFAULT_SLACK_C, "Cor10")
         contained += all(r.contains_oracle for r in sandwich)
         if t == 0:
             reports = sandwich
-    delta_se = float(deltas.std(ddof=1) / np.sqrt(resamples)) if resamples > 1 else 0.0
     return Corollary10Report(
         reports=reports,
         containment_fraction=contained / resamples,
-        delta_check=MomentCheck(float(deltas.mean()), float(delta_formula), delta_se),
         precondition_ok=precond)

@@ -75,7 +75,7 @@ def verify_matcore(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("matcore", seed, trials)
     rng = rm.stream(seed, 0)
     worst_schur = worst_norm = np.inf
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         a = rng.standard_normal((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
         norm, exact = mc.operator_norm(a), np.linalg.norm(a, 2)
         worst_schur = min(worst_schur, mc.schur_test_bound(a) - norm)
@@ -89,7 +89,7 @@ def verify_givens(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("givens", seed, trials)
     rng = rm.stream(seed, 1)
     worst_orth = worst_ann = worst_weight = worst_asm = np.inf
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         p = _random_partition(rng)
         norm_r = mc.operator_norm(p.base)
         for build, off in ((gv.build_right_rotation, "b"), (gv.build_left_rotation, "c")):
@@ -121,7 +121,7 @@ def verify_blockdiag(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("blockdiag", seed, trials)
     rng = rm.stream(seed, 2)
     worst_conv = worst_spec = worst_lem = worst_kyfan = np.inf
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         m = int(rng.integers(6, 14))
         k = int(rng.integers(2, 5))
         n = int(rng.integers(k + 1, m + 1))
@@ -160,7 +160,7 @@ def verify_bounds(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("bounds", seed, trials)
     rng = rm.stream(seed, 3)
     worst_weyl = worst_mu = worst_t2 = np.inf
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         p = _random_partition(rng)
         i = int(rng.integers(1, p.k + 1))
         for r in bn.weyl_gap_bounds(p, min(i, p.n - 1) or 1):
@@ -182,7 +182,7 @@ def verify_theorem3(seed: int, trials: int) -> VerifyReport:
     rep = VerifyReport("theorem3", seed, trials)
     # hand case: m=4, two binary columns of size 2
     prof = rm.ColumnProfile(m=4, sizes=np.array([2.0, 2.0]), norms=np.sqrt([2.0, 2.0]))
-    g = rm.expected_gram(prof).g
+    g = rm.expected_gram(prof)
     rep.add("hand_case_gram_exact", -float(np.abs(g - np.array([[2.0, 1.0], [1.0, 2.0]])).max()),
             tol=1e-12)
     reps = rm.theorem3_bounds(prof, slack_c=0.0)
@@ -211,8 +211,7 @@ def verify_corollaries(seed: int, trials: int) -> VerifyReport:
     rep.add("inner_product_variance",
             4.0 * lem.variance.se - abs(lem.variance.empirical - lem.variance.formula))
     model = rm.RandomColumnModel("binary", m=4, sizes=np.array([2.0, 2.0]), seed=seed + 2)
-    prof = model.profile()
-    fl = rm.fluctuation_bounds(prof, model, trials=max(trials * 10, 1000))
+    fl = rm.fluctuation_bounds(model, trials=max(trials * 10, 1000))
     band = fl.band_fro + 4.0 * float(fl.e_sigma2_se.max())
     rep.add("spectrum_fluctuation_band",
             band - float(np.abs(fl.e_sigma2 - fl.sigma_g).max()))
@@ -321,7 +320,10 @@ SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int = 0, trials: int = 100) -> VerifyReport:
-    """Run one named suite, or every suite under "all"."""
+    """Run one named suite, or every suite under "all", at a non-negative
+    seed and at least one trial."""
+    if trials < 1:
+        raise mc.MatrixError(f"trials must be at least 1, got {trials}")
     if name == "all":
         rep = VerifyReport("all", seed, trials)
         for sub in SUITES:

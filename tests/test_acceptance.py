@@ -197,7 +197,7 @@ def test_criterion_07_fluctuation_band():
     sizes = np.array([2.0, 2.0])
     prof = rm.ColumnProfile(m=4, sizes=sizes, norms=np.sqrt(sizes), L=2)
     frak_n = rm.fluctuation_frak_n(prof)
-    sigma_g = np.sort(np.linalg.eigvalsh(rm.expected_gram(prof).g))[::-1]
+    sigma_g = np.sort(np.linalg.eigvalsh(rm.expected_gram(prof)))[::-1]
     band = np.sqrt(1.0 / 3.0) * frak_n
     dev = float(np.max(np.abs(e_sig2 - sigma_g)))
     ok = abs(frak_n - 2.0) <= 1e-12 and dev <= band

@@ -165,6 +165,17 @@ class TestVerifyCommand:
         assert run(["verify", "nonsense"]) == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,message", [
+        (["--seed", -1], "error: seed must be at least 0, got -1"),
+        (["--trials", 0], "error: trials must be at least 1, got 0"),
+        (["--trials", -5], "error: trials must be at least 1, got -5"),
+    ], ids=["seed-negative", "trials-zero", "trials-negative"])
+    def test_bad_seed_or_trials_usage_error(self, capsys, option, message):
+        assert run(["verify", "matcore"] + option) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
 
 class TestParserReuse:
     def test_reports_match_fresh_parsers(self, tmp_path):

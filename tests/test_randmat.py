@@ -62,14 +62,6 @@ class TestProfileAndStats:
         with pytest.raises(mc.MatrixError):
             rm.ColumnProfile(**kwargs)
 
-    def test_profile_json_roundtrip(self):
-        prof = binary_profile(10, [3, 5])
-        back = rm.ColumnProfile.from_json(prof.to_json())
-        assert back.m == prof.m
-        np.testing.assert_array_equal(back.sizes, prof.sizes)
-        np.testing.assert_array_equal(back.norms, prof.norms)
-        assert back.L == prof.L
-
 
 class TestConditionS1:
     def test_zero_one_profile_passes(self):
@@ -94,29 +86,32 @@ class TestConditionS1:
 
 class TestExpectedGram:
     def test_single_column(self):
-        prof = binary_profile(5, [3])
-        fac = rm.expected_gram(prof)
-        assert fac.g.shape == (1, 1)
-        assert fac.g[0, 0] == pytest.approx(3.0, abs=1e-14)
+        g = rm.expected_gram(binary_profile(5, [3]))
+        assert g.shape == (1, 1)
+        assert g[0, 0] == pytest.approx(3.0, abs=1e-14)
 
     def test_binary_hand_case(self):
-        fac = rm.expected_gram(binary_profile(4, [2, 2]))
-        np.testing.assert_allclose(fac.g, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
-        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(fac.g)), [1.0, 3.0], atol=1e-12)
+        g = rm.expected_gram(binary_profile(4, [2, 2]))
+        np.testing.assert_allclose(g, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
+        np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(g)), [1.0, 3.0], atol=1e-12)
 
     def test_factorization_reproduces_gram(self):
+        # the rank-one-plus-diagonal form D_k (H_k + e_k u_k^T / m)
         for _ in range(50):
             m = int(RNG.integers(5, 50))
             k = int(RNG.integers(1, 6))
             sizes = RNG.integers(1, m + 1, size=k)
-            fac = rm.expected_gram(binary_profile(m, sizes))
-            rebuilt = fac.d_k @ (fac.h_k + np.outer(fac.e_k, fac.u_k) / m)
-            assert mc.operator_norm(rebuilt - fac.g) <= 1e-12 * max(1.0, mc.operator_norm(fac.g))
+            prof = binary_profile(m, sizes)
+            s, w = prof.sizes, prof.sq_norms()
+            d_k = np.diag(w)
+            h_k = np.diag(1.0 - s**2 / (m * w))
+            rebuilt = d_k @ (h_k + np.outer(s / w, s) / m)
+            g = rm.expected_gram(prof)
+            assert mc.operator_norm(rebuilt - g) <= 1e-12 * max(1.0, mc.operator_norm(g))
 
     def test_sparse_limit_diagonal(self):
-        prof = binary_profile(10000, [2, 3, 2])
-        fac = rm.expected_gram(prof)
-        off = fac.g - np.diag(np.diag(fac.g))
+        g = rm.expected_gram(binary_profile(10000, [2, 3, 2]))
+        off = g - np.diag(np.diag(g))
         assert mc.operator_norm(off) <= 1e-2
 
 
@@ -219,6 +214,13 @@ class TestSamplers:
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(mean - 0.5) <= 4 * se)
 
+    def test_stream_rejects_negative_seed(self):
+        with pytest.raises(mc.MatrixError, match="seed must be at least 0, got -1"):
+            rm.stream(-1)
+        model = rm.RandomColumnModel("binary", 4, sizes=[2.0], seed=-1)
+        with pytest.raises(mc.MatrixError, match="seed must be at least 0"):
+            model.sample_matrix(0)
+
     def test_streams_reproducible(self):
         model = rm.RandomColumnModel("binary", 10, sizes=[4.0, 6.0], seed=3)
         np.testing.assert_array_equal(model.sample_matrix(5), model.sample_matrix(5))
@@ -236,9 +238,13 @@ class TestSamplers:
         ("binary", 4, [2.5], None),
         ("binary", 4, [5.0], None),
         ("fixed-size-and-norm", 4, [2.0, 2.0], [1.0]),
+        ("fixed-size-and-norm", 4, [2.0], None),
+        ("binary", 4, [2.0], [1.9]),
+        ("fixed-size", 4, [2.0], [1.5]),
     ], ids=["m-zero", "m-nan", "no-sizes", "sizes-not-a-vector", "size-nan", "size-inf",
             "size-negative", "binary-size-nan", "binary-size-fraction",
-            "binary-size-above-m", "norms-length"])
+            "binary-size-above-m", "norms-length", "norms-missing", "binary-with-norms",
+            "fixed-size-with-norms"])
     def test_model_rejects_bad_input(self, kind, m, sizes, norms):
         with pytest.raises(mc.MatrixError):
             rm.RandomColumnModel(kind, m, sizes=sizes, norms=norms)
@@ -284,6 +290,15 @@ class TestLemma13:
         assert rep.mean.within(4.0)
         assert rep.variance.within(4.0)
 
+    def test_fixed_size_moments(self):
+        # norms vary, so the variance formula takes the sampled mean squares
+        mx = rm.RandomColumnModel("fixed-size", 6, sizes=[3.0], seed=43)
+        my = rm.RandomColumnModel("fixed-size", 6, sizes=[2.0], seed=44)
+        rep = rm.lemma13_stats(mx, my, trials=20000)
+        assert rep.mean.formula == pytest.approx(1.0, abs=1e-14)
+        assert rep.mean.within(4.0)
+        assert rep.variance.within(4.0)
+
     def test_needs_two_trials(self):
         mx = rm.RandomColumnModel("binary", 4, sizes=[2.0], seed=21)
         for trials in (0, 1):
@@ -303,37 +318,32 @@ class TestEmpiricalGram:
         norms = [1.0, 1.0]  # = s/sqrt(m): deterministic center columns
         model = rm.RandomColumnModel("fixed-size-and-norm", m, sizes=sizes,
                                      norms=norms, seed=51)
-        prof = rm.ColumnProfile(m=m, sizes=np.array(sizes), norms=np.array(norms), L=m)
-        rep = rm.empirical_gram(model, prof, trials=1)
+        rep = rm.empirical_gram(model, trials=1)
         assert rep.max_abs_dev <= 1e-12
 
     def test_binary_gram_convergence(self):
         model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=52)
-        rep = rm.empirical_gram(model, model.profile(), trials=20000)
+        rep = rm.empirical_gram(model, trials=20000)
         assert rep.max_abs_dev <= 5 * max(rep.max_se, 1e-12)
 
     def test_needs_a_trial(self):
         model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=52)
         with pytest.raises(mc.MatrixError):
-            rm.empirical_gram(model, model.profile(), trials=0)
+            rm.empirical_gram(model, trials=0)
 
 
 class TestFluctuationBounds:
     def test_center_columns_zero_band(self):
-        m = 4
-        prof = rm.ColumnProfile(m=m, sizes=np.array([2.0, 2.0]),
-                                norms=np.array([1.0, 1.0]), L=m)
-        model = rm.RandomColumnModel("fixed-size-and-norm", m, sizes=[2.0, 2.0],
+        model = rm.RandomColumnModel("fixed-size-and-norm", 4, sizes=[2.0, 2.0],
                                      norms=[1.0, 1.0], seed=61)
-        rep = rm.fluctuation_bounds(prof, model, trials=3)
+        rep = rm.fluctuation_bounds(model, trials=3)
         assert rep.frak_n == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(rep.e_sigma2 - rep.sigma_g)) <= 1e-12
 
     def test_binary_hand_case_frak_n(self):
-        prof = binary_profile(4, [2, 2])
-        assert rm.fluctuation_frak_n(prof) == pytest.approx(2.0, abs=1e-12)
+        assert rm.fluctuation_frak_n(binary_profile(4, [2, 2])) == pytest.approx(2.0, abs=1e-12)
         model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=62)
-        rep = rm.fluctuation_bounds(prof, model, trials=5000)
+        rep = rm.fluctuation_bounds(model, trials=5000)
         band = np.sqrt(1.0 / 3.0) * 2.0
         assert rep.band_fro == pytest.approx(band, abs=1e-12)
         assert rep.containment(band, n_se=4.0)
@@ -342,34 +352,28 @@ class TestFluctuationBounds:
     def test_medium_case_containment(self):
         m, k = 200, 8
         sizes = RNG.integers(4, 20, size=k).astype(float)
-        prof = binary_profile(m, sizes)
         model = rm.RandomColumnModel("binary", m, sizes=sizes, seed=63)
-        rep = rm.fluctuation_bounds(prof, model, trials=2000)
+        rep = rm.fluctuation_bounds(model, trials=2000)
         assert rep.containment(rep.band_fro, n_se=4.0)
 
     def test_needs_a_trial(self):
         model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=62)
         with pytest.raises(mc.MatrixError):
-            rm.fluctuation_bounds(model.profile(), model, trials=0)
+            rm.fluctuation_bounds(model, trials=0)
 
     def test_needs_two_rows(self):
         model = rm.RandomColumnModel("binary", 1, sizes=[1.0, 1.0], seed=62)
         with pytest.raises(mc.MatrixError, match="m must be at least 2"):
-            rm.fluctuation_bounds(model.profile(), model, trials=10)
+            rm.fluctuation_bounds(model, trials=10)
 
 
-class TestEnsembleMismatch:
-    # a profile and a model of different ensembles, in either function
-    @pytest.mark.parametrize("call", [rm.empirical_gram, rm.fluctuation_bounds],
-                             ids=["empirical_gram", "fluctuation_bounds"])
-    @pytest.mark.parametrize("m, sizes, message", [
-        (50, [2.0, 2.0], "differ in m: profile has 4, model has 50"),
-        (4, [2.0, 2.0, 2.0], "differ in column count: profile has 2, model has 3"),
-    ], ids=["m", "columns"])
-    def test_rejected(self, call, m, sizes, message):
-        model = rm.RandomColumnModel("binary", m, sizes=sizes, seed=64)
-        with pytest.raises(mc.MatrixError, match=message):
-            call(profile=binary_profile(4, [2, 2]), model=model, trials=10)
+@pytest.mark.parametrize("call", [rm.empirical_gram, rm.fluctuation_bounds],
+                         ids=["empirical_gram", "fluctuation_bounds"])
+def test_monte_carlo_needs_a_model_profile(call):
+    # a fixed-size model has no intrinsic profile to compare against
+    model = rm.RandomColumnModel("fixed-size", 4, sizes=[2.0, 2.0], seed=64)
+    with pytest.raises(mc.MatrixError, match="no intrinsic norm profile"):
+        call(model, trials=10)
 
 
 class TestGamma:
