@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import (BlockPartition, CheckItem, CheckReport, GapCertificate, MatrixError,
+from .matcore import (BlockPartition, CheckReport, GapCertificate, MatrixError,
                       as_matrix, operator_norm)
 from .givens import SingularBlockError, _build_rotation
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
-LEMMA11_TOL = 1e-9      # slack of every Lemma 11 check
+LEMMA11_TOL = 1e-9      # slack of every Lemma 11 check, relative to the bands' norms
 KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins
 
 
@@ -164,57 +164,45 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
                            final=cur.base, spectrum=spectrum)
 
 
-def _margin_check(name: str, margins: list[float], asserted: bool = True) -> CheckItem:
-    """The worst of ``margins`` (0.0 when there are none), failing below
-    -LEMMA11_TOL unless the check is only reported (``asserted`` false)."""
-    worst = min(margins, default=0.0)
-    return CheckItem(name, worst >= -LEMMA11_TOL or not asserted, worst)
-
-
 def check_lemma11(trace: SweepTrace) -> CheckReport:
     """Diagnostic report on monotonicity, band preservation, contraction and
-    gap preservation along a sweep trace, each within LEMMA11_TOL. The
-    contraction factors of (iv) are proved for a one-column trailing block
-    (n = k + 1) only; elsewhere (iv) reports its margin and passes. Always
-    returns; never raises."""
+    gap preservation along a sweep trace. Each check's slack is LEMMA11_TOL
+    times max(||[A_0; C_0]||, ||[B_0; D_0]||), so no verdict depends on the
+    units of R. The factors of (iv) are proved for one trailing column
+    (n = k + 1) only; elsewhere (iv) reports its margin and passes. Never raises."""
     recs = trace.records
-    checks: list[CheckItem] = []
+    tol = LEMMA11_TOL * max(float(recs[0].sigma_left_band[0]), recs[0].norm_right_band)
+    rep = CheckReport()
     # (i) singular values of the pivot block never decrease
-    checks.append(_margin_check("i_pivot_monotone", [
-        float(np.min(nxt.sigma_a - prev.sigma_a)) for prev, nxt in zip(recs, recs[1:])]))
-    # (ii) first left step zeroes C and preserves the left-band spectrum
+    rep.add("i_pivot_monotone", min((np.min(nxt.sigma_a - prev.sigma_a)
+                                     for prev, nxt in zip(recs, recs[1:])), default=0.0), tol)
     if len(recs) >= 2:
         r1 = recs[1]
-        c_zero = r1.norm_c
+        # (ii) first left step zeroes C and preserves the left-band spectrum
         spec_dev = float(np.max(np.abs(r1.sigma_a - recs[0].sigma_left_band[:len(r1.sigma_a)])))
-        passed = c_zero <= LEMMA11_TOL and spec_dev <= LEMMA11_TOL * max(recs[0].norm_a, 1.0)
-        checks.append(CheckItem("ii_first_step", passed, -max(c_zero, spec_dev)))
-    # (iii) right-band norm unchanged by the first (left) step
-    if len(recs) >= 2:
-        dev = abs(recs[1].norm_right_band - recs[0].norm_right_band)
-        passed = dev <= LEMMA11_TOL * max(recs[0].norm_right_band, 1.0)
-        checks.append(CheckItem("iii_right_band_norm", passed, -dev))
+        rep.add("ii_first_step", -max(r1.norm_c, spec_dev), tol)
+        # (iii) right-band norm unchanged by the first (left) step
+        rep.add("iii_right_band_norm", -abs(r1.norm_right_band - recs[0].norm_right_band), tol)
     # (iv) contraction factors, checked from each recorded t >= 1
     margins = []
     for prev, nxt in zip(recs[1:], recs[2:]):
         off = prev.norm_b if prev.norm_b >= prev.norm_c else prev.norm_c
         # D-contraction: (1 + off^2/||A||^2)^(-1/2)
         if prev.norm_a > 0:
-            margins.append(float(prev.norm_d / np.sqrt(1.0 + (off / prev.norm_a) ** 2)
-                                 - nxt.norm_d))
+            margins.append(prev.norm_d / np.sqrt(1.0 + (off / prev.norm_a) ** 2) - nxt.norm_d)
         # new off-block: (sigma_k^2 + off^2)^(-1/2) * off * ||D||
         denom = np.sqrt(prev.sigma_k_a**2 + off**2)
         if denom > 0:
             new_off = nxt.norm_c if prev.norm_b >= prev.norm_c else nxt.norm_b
-            margins.append(float(off * prev.norm_d / denom - new_off))
-    checks.append(_margin_check("iv_contraction", margins, asserted=trace.n == trace.k + 1))
+            margins.append(off * prev.norm_d / denom - new_off)
+    rep.add("iv_contraction", min(margins, default=0.0),
+            tol if trace.n == trace.k + 1 else np.inf)
     # (v) gap preservation once it holds at t = 0
     sig0 = recs[0].sigma_left_band
     gap_idx = [i for i in range(len(sig0)) if sig0[i] >= recs[0].norm_right_band]
-    checks.append(_margin_check("v_gap_preserved", [
-        float(rec.sigma_left_band[i] - rec.norm_right_band)
-        for rec in recs[1:] for i in gap_idx]))
-    return CheckReport(checks)
+    rep.add("v_gap_preserved", min((rec.sigma_left_band[i] - rec.norm_right_band
+                                    for rec in recs[1:] for i in gap_idx), default=0.0), tol)
+    return rep
 
 
 def gap_certificate(p: BlockPartition, i: int) -> GapCertificate:

@@ -5,7 +5,7 @@ sweep trace), ``bounds`` (perturbation-bound reports for a partitioned
 matrix), ``plan`` (partition planner), ``approx`` (certified low-rank
 approximation), and ``verify`` (self-check suites). Matrices are exchanged
 as Matrix Market coordinate files; reports are deterministic JSON. Exit
-codes: 0 success, 1 check violation, 2 usage error.
+codes: 0 success, 1 check violation, 2 usage error, EPIPE on a closed stdout.
 
 Importing this module loads only argparse, json and ``matcore`` (with
 numpy); each command loads the modules it runs when it runs, so a one-shot
@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from collections.abc import Sequence
 
 from .matcore import BlockPartition, MatrixError
 
@@ -96,23 +96,6 @@ def _cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-class _SuiteChoices(Sequence):
-    """``verify.SUITES`` and "all", read only when argparse checks a suite
-    name or reports a wrong one, so that building the parser loads no suite
-    module. (The argument's metavar keeps argparse from listing them when it
-    is added.)"""
-
-    def _names(self) -> tuple[str, ...]:
-        from .verify import SUITES
-        return SUITES + ("all",)
-
-    def __getitem__(self, i):
-        return self._names()[i]
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``blocksvd`` parser, built once per process and shared by every
@@ -144,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True, help="number of values")
     p.add_argument("--oracle", action="store_true", help=oracle_help)
     p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("suite", choices=_SuiteChoices(), metavar="suite",
-                   help="a suite name, or all; a wrong name lists them")
+    p.add_argument("suite", help="a suite name, or all; a wrong name lists them")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("-o", "--output", default=None, help="write JSON here")
@@ -162,6 +144,12 @@ def main(argv=None) -> int:
                 "plan": _cmd_plan, "approx": _cmd_approx, "verify": _cmd_verify}
     try:
         return dispatch[args.command](args)
+    except BrokenPipeError as exc:
+        # The reader closed stdout, as ``| head`` does: not a usage error.
+        # Later writes, the interpreter's last flush among them, go nowhere.
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return exc.errno
     except (MatrixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

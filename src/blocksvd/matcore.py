@@ -1,8 +1,8 @@
 """Dense numerical substrate: input validation, block partitions, norms
 (the one block norm ``operator_norm``, a certified upper bound for
 non-negative blocks, and the Schur test), the gap certificate, numerical
-rank, the moment ratio of a positive sequence, and the named-check report
-that the Lemma 11 and condition (S1) diagnostics return.
+rank, the moment ratio of a positive sequence, and the one check report,
+for the Lemma 11 and (S1) diagnostics and the ``verify`` suites.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -10,7 +10,7 @@ take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,12 @@ class CheckItem:
 class CheckReport:
     """A list of named checks; passes when every one does."""
 
-    checks: list[CheckItem]
+    checks: list[CheckItem] = field(default_factory=list)
+
+    def add(self, name: str, margin: float, tol: float = 0.0):
+        """Record ``margin`` under ``name``; the one verdict rule: pass when margin >= -tol."""
+        margin = float(margin)
+        self.checks.append(CheckItem(name, bool(margin >= -tol), margin))
 
     @property
     def all_passed(self) -> bool:
@@ -143,7 +148,7 @@ def operator_norm(m) -> float:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """The gap condition sigma_i(left) >= ||right|| and its two sides."""
+    """The gap condition sigma_i(left) >= ||right||, its two sides and its verdict."""
 
     i: int
     sigma_i_left: float
@@ -154,14 +159,23 @@ class GapCertificate:
     def from_bands(cls, left: np.ndarray, right: np.ndarray, i: int) -> "GapCertificate":
         """Both sides for a k-column ``left`` and any ``right``; the left
         side is read from a values-only SVD. Raises MatrixError for an i
-        outside 1..k."""
+        outside 1..k.
+
+        ``certified`` needs a zero ``right``, or the gap to survive a pad of
+        gamma_p sigma_1(left) and gamma_q ||right|| (``_gamma``; p and q the
+        larger dimension of each block): LAPACK's backward-error model for
+        computed singular values, not a Rump-rigorous enclosure. The sides
+        are reported unpadded.
+        """
         k = left.shape[1]
         if not (1 <= i <= k):
             raise MatrixError(f"need 1 <= i <= k, got i={i}, k={k}")
         sigma_left = np.linalg.svd(left, compute_uv=False)
         norm_right = operator_norm(right)
+        low = sigma_left[i - 1] - _gamma(max(left.shape)) * sigma_left[0]
+        high = norm_right * (1.0 + _gamma(max(right.shape)))
         return cls(i=i, sigma_i_left=float(sigma_left[i - 1]), norm_right=norm_right,
-                   certified=bool(sigma_left[i - 1] >= norm_right))
+                   certified=bool(norm_right == 0.0 or low >= high))
 
     def to_json(self) -> dict:
         return {"i": self.i, "sigma_i_left": self.sigma_i_left,

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import BoundReport
 # moment_ratio lives in matcore, so the planner does not load this module;
 # it stays importable from here.
-from .matcore import CheckItem, CheckReport, MatrixError, moment_ratio
+from .matcore import CheckReport, MatrixError, moment_ratio
 
 DEFAULT_SLACK_C = 4.0    # multiplier on the L/m slack terms
 MAX_DRAWS = 10**4        # rejection draws per column before SamplerStarvation
@@ -124,30 +124,21 @@ def check_S1(profile: ColumnProfile) -> CheckReport:
     """Structural conditions: squared norms dominate sizes, bounded maximal
     size, and a moment-ratio cap on the size-to-squared-norm sequence.
     Consequence inequalities are reported alongside."""
-    checks: list[CheckItem] = []
+    rep = CheckReport()
     w = profile.sq_norms()
-    margin_i = float(np.min(w - profile.sizes))
-    checks.append(CheckItem("sq_norm_ge_size", margin_i >= -SIZE_TOL, margin_i))
-    margin_ii = float(profile.m - profile.c_max)
-    checks.append(CheckItem("max_size_le_m", margin_ii >= 0, margin_ii))
+    rep.add("sq_norm_ge_size", np.min(w - profile.sizes), SIZE_TOL)
+    rep.add("max_size_le_m", profile.m - profile.c_max)
     xi = profile.xi()
-    rho_e = moment_ratio(xi)
     cap = 1.0 + profile.m / (profile.c_max * profile.k)
-    checks.append(CheckItem("xi_moment_ratio_cap", rho_e <= cap + SIZE_TOL, float(cap - rho_e)))
+    rep.add("xi_moment_ratio_cap", cap - moment_ratio(xi), SIZE_TOL)
     # consequences of the conditions above
-    margin = float(1.0 - xi.max())
-    checks.append(CheckItem("xi_le_one", margin >= -SIZE_TOL, margin))
-    norm_e = float(np.linalg.norm(xi))
-    checks.append(CheckItem("xi_norm_le_sqrt_k", norm_e <= np.sqrt(profile.k) + SIZE_TOL,
-                            float(np.sqrt(profile.k) - norm_e)))
+    rep.add("xi_le_one", 1.0 - xi.max(), SIZE_TOL)
+    rep.add("xi_norm_le_sqrt_k", np.sqrt(profile.k) - np.linalg.norm(xi), SIZE_TOL)
     ratio = profile.sizes**2 / (profile.m * w)
-    margin = float(profile.L / profile.m - ratio.max())
-    checks.append(CheckItem("size_sq_ratio_le_L_over_m", margin >= -SIZE_TOL, margin))
-    xi2 = float(np.sqrt(np.mean(xi**2)))
-    lhs = float(np.sum((xi2 - xi) * profile.sizes))
-    checks.append(CheckItem("weighted_gap_sum_le_m", lhs <= profile.m + SIZE_TOL,
-                            float(profile.m - lhs)))
-    return CheckReport(checks)
+    rep.add("size_sq_ratio_le_L_over_m", profile.L / profile.m - ratio.max(), SIZE_TOL)
+    xi2 = np.sqrt(np.mean(xi**2))
+    rep.add("weighted_gap_sum_le_m", profile.m - np.sum((xi2 - xi) * profile.sizes), SIZE_TOL)
+    return rep
 
 
 # ---------------------------------------------------------------------------

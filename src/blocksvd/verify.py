@@ -1,13 +1,13 @@
 """Self-verification suites: randomized invariant checks for every module.
 
-Each suite runs a batch of checks and reports a signed margin per check
-(non-negative means the invariant holds with room to spare). Reports are
-deterministic for a fixed seed and serialize to JSON for the CLI.
+Each suite runs a batch of checks and returns a ``CheckReport`` of signed
+margins (non-negative means the invariant holds with room to spare).
+Reports are deterministic for a fixed seed and serialize to JSON for the CLI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,43 +21,24 @@ from . import randmat as rm
 PIVOT_FLOOR = 1e-3     # least sigma_min(A) of a random partition
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named check of a suite, whether it passed, and its signed margin."""
-
-    suite: str
-    name: str
-    passed: bool
-    margin: float
-
-    def to_json(self) -> dict:
-        return {"suite": self.suite, "name": self.name,
-                "passed": bool(self.passed), "margin": float(self.margin)}
-
-
 @dataclass
 class VerifyReport:
-    """A suite's checks for one seed and trial count; passes when all do."""
+    """One suite's checks, or every suite's under "all", by suite name; passes when all do."""
 
     suite: str
     seed: int
     trials: int
-    checks: list[Check] = field(default_factory=list)
+    reports: dict[str, mc.CheckReport]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, margin: float, tol: float = 0.0):
-        self.checks.append(Check(self.suite, name, margin >= -tol, float(margin)))
-
-    def extend(self, other: "VerifyReport"):
-        self.checks.extend(other.checks)
+        return all(r.all_passed for r in self.reports.values())
 
     def to_json(self) -> dict:
         return {"suite": self.suite, "seed": self.seed, "trials": self.trials,
                 "passed": self.passed,
-                "checks": [c.to_json() for c in self.checks]}
+                "checks": [{"suite": name, **c.to_json()}
+                           for name, rep in self.reports.items() for c in rep.checks]}
 
 
 def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
@@ -71,8 +52,8 @@ def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
             return mc.BlockPartition(r, k)
 
 
-def verify_matcore(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("matcore", seed, trials)
+def verify_matcore(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     rng = rm.stream(seed, 0)
     worst_schur = worst_norm = np.inf
     for _ in range(trials):
@@ -85,8 +66,8 @@ def verify_matcore(seed: int, trials: int) -> VerifyReport:
     return rep
 
 
-def verify_givens(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("givens", seed, trials)
+def verify_givens(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     rng = rm.stream(seed, 1)
     worst_orth = worst_ann = worst_weight = worst_asm = np.inf
     for _ in range(trials):
@@ -117,8 +98,8 @@ def verify_givens(seed: int, trials: int) -> VerifyReport:
     return rep
 
 
-def verify_blockdiag(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("blockdiag", seed, trials)
+def verify_blockdiag(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     rng = rm.stream(seed, 2)
     worst_conv = worst_spec = worst_lem = worst_kyfan = np.inf
     for _ in range(trials):
@@ -156,8 +137,8 @@ def verify_blockdiag(seed: int, trials: int) -> VerifyReport:
     return rep
 
 
-def verify_bounds(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("bounds", seed, trials)
+def verify_bounds(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     rng = rm.stream(seed, 3)
     worst_weyl = worst_mu = worst_t2 = np.inf
     for _ in range(trials):
@@ -178,8 +159,8 @@ def verify_bounds(seed: int, trials: int) -> VerifyReport:
     return rep
 
 
-def verify_theorem3(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("theorem3", seed, trials)
+def verify_theorem3(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     # hand case: m=4, two binary columns of size 2
     prof = rm.ColumnProfile(m=4, sizes=np.array([2.0, 2.0]), norms=np.sqrt([2.0, 2.0]))
     g = rm.expected_gram(prof)
@@ -202,8 +183,8 @@ def verify_theorem3(seed: int, trials: int) -> VerifyReport:
     return rep
 
 
-def verify_corollaries(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("corollaries", seed, trials)
+def verify_corollaries(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     mx = rm.RandomColumnModel("binary", m=4, sizes=np.array([2.0]), seed=seed)
     my = rm.RandomColumnModel("binary", m=4, sizes=np.array([2.0]), seed=seed + 1)
     lem = rm.lemma13_stats(mx, my, trials=max(trials * 20, 2000))
@@ -220,8 +201,8 @@ def verify_corollaries(seed: int, trials: int) -> VerifyReport:
     return rep
 
 
-def verify_gamma(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("gamma", seed, trials)
+def verify_gamma(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     rng = rm.stream(seed, 5)
     for alpha, beta, name in ((4.0, 0.05, "rho_alpha_4"), (1.0, 0.01, "rho_alpha_1")):
         spec = rm.GammaSpec(alpha=alpha, beta=beta)
@@ -236,8 +217,8 @@ def verify_gamma(seed: int, trials: int) -> VerifyReport:
     return rep
 
 
-def verify_pipeline(seed: int, trials: int) -> VerifyReport:
-    rep = VerifyReport("pipeline", seed, trials)
+def verify_pipeline(seed: int, trials: int) -> mc.CheckReport:
+    rep = mc.CheckReport()
     # Hand case at k = 1, alpha = 1: the column norms 3, sqrt 5, sqrt 2 keep
     # the columns in order; column 1 has size 1 + 2 = 3 and the largest row
     # sum of columns 1 and 2 is 2 + 1 = 3, so the threshold is
@@ -324,11 +305,7 @@ def run_suite(name: str, seed: int = 0, trials: int = 100) -> VerifyReport:
     seed and at least one trial."""
     if trials < 1:
         raise mc.MatrixError(f"trials must be at least 1, got {trials}")
-    if name == "all":
-        rep = VerifyReport("all", seed, trials)
-        for sub in SUITES:
-            rep.extend(_RUNNERS[sub](seed, trials))
-        return rep
-    if name not in _RUNNERS:
+    if name != "all" and name not in _RUNNERS:
         raise mc.MatrixError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    return _RUNNERS[name](seed, trials)
+    names = SUITES if name == "all" else (name,)
+    return VerifyReport(name, seed, trials, {sub: _RUNNERS[sub](seed, trials) for sub in names})

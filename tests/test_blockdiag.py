@@ -235,6 +235,23 @@ class TestLemma11Diagnostics:
         assert not one.passed
         assert wide.passed
 
+    def test_verdicts_do_not_depend_on_units(self):
+        # Scaling by a power of two is exact and scales every margin with R,
+        # so the slack must scale too: an absolute one fails (i) on 2^20 R.
+        rng = np.random.default_rng(0)
+        r = np.abs(rng.standard_normal((40, 20))) * (rng.random((40, 20)) < 0.3)
+        r[:, :6] *= 10.0
+        r[:6, :6] += np.eye(6)
+
+        def verdicts(x):
+            res = bd.block_diagonalize(mc.BlockPartition(x, 6))
+            return [(c.name, c.passed) for c in bd.check_lemma11(res.trace).checks]
+
+        want = verdicts(r)
+        assert all(passed for _, passed in want)
+        for e in (14, 20, -20):
+            assert verdicts(r * 2.0**e) == want, e
+
     def test_readme_case_passes(self):
         # the README recipe: 200 x 80 at 30% density, k = 20, whose sweeps
         # contract less than (iv)'s one-column factor

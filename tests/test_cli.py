@@ -163,7 +163,10 @@ class TestVerifyCommand:
 
     def test_unknown_suite_usage_error(self, capsys):
         assert run(["verify", "nonsense"]) == 2
-        assert "invalid choice" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown suite 'nonsense'; choose from (")
+        assert "'matcore'" in captured.err and "'all'" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("option,message", [
         (["--seed", -1], "error: seed must be at least 0, got -1"),
@@ -335,22 +338,49 @@ class TestPipelineRefusal:
             f"error: dense driver limited to {pl.DENSE_LIMIT} columns")
 
 
-def _fresh_modules(code: str) -> set[str]:
-    """Run ``code`` in a fresh interpreter; the blocksvd modules it loaded,
-    and scipy.stats and scipy.linalg if it loaded them."""
+def _child_env() -> dict:
+    """This environment with the tested blocksvd first on PYTHONPATH."""
     import os
-    import subprocess
-    import sys
 
     import blocksvd
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(blocksvd.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the blocksvd modules it loaded,
+    and scipy.stats and scipy.linalg if it loaded them."""
+    import subprocess
+    import sys
+
     code += ("\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith("
              "('blocksvd', 'scipy.stats', 'scipy.linalg'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                          text=True, check=True, timeout=120)
     return set(out.stdout.split())
+
+
+def test_closed_stdout_is_not_a_usage_error(tmp_path):
+    # The plan of a 20000 x 2 file prints a 20000-entry row permutation,
+    # more than a pipe holds, so the command is still writing when the
+    # reader closes the pipe after one byte, as ``| head -c 1`` does.
+    import errno
+    import subprocess
+    import sys
+
+    r = np.zeros((20000, 2))
+    r[0, 0], r[1, 1] = 2.0, 1.0
+    path = tmp_path / "tall.mtx"
+    mmio.write_matrix(path, r)
+    proc = subprocess.Popen([sys.executable, "-m", "blocksvd.cli", "plan", str(path), "--k", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == errno.EPIPE
+    assert err == b""
 
 
 CLI_IMPORT = {"blocksvd", "blocksvd.cli", "blocksvd.matcore"}

@@ -1,5 +1,8 @@
 """Tests for the dense matrix substrate."""
 
+from fractions import Fraction
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from blocksvd import matcore as mc
+from blocksvd import pipeline as pl
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -171,6 +175,50 @@ class TestCertifiedNorm:
     def test_zero_block_is_exact(self):
         nb = mc.certified_norm(np.zeros((20, 8)))
         assert (nb.value, nb.method, nb.iterations) == (0.0, "collatz-wielandt", 1)
+
+
+def _pythagorean_ties():
+    """R = [[a, b, 1], [-b, a, 0], 0, 0] with a, b the doubles nearest p/c
+    and q/c, for every Pythagorean triple (p, q, c) with legs below 60."""
+    for p in range(1, 60):
+        for q in range(1, 60):
+            c = isqrt(p * p + q * q)
+            if c * c == p * p + q * q:
+                a, b = p / c, q / c
+                yield (p, q, c), np.array([[a, b, 1.0], [-b, a, 0.0], [0, 0, 0], [0, 0, 0]])
+
+
+class TestGapCertificate:
+    def test_exact_near_ties_not_certified(self):
+        # The left band's two columns are orthogonal, so sigma_2([A; C])^2
+        # is exactly a^2 + b^2, which the rounding of p/c and q/c leaves
+        # just above or below ||B|| = 1.
+        below = 0
+        for triple, r in _pythagorean_ties():
+            a, b = Fraction(r[0, 0]), Fraction(r[0, 1])
+            if a * a + b * b >= 1:
+                continue
+            below += 1
+            cert = mc.GapCertificate.from_bands(r[:, :2], r[:, 2:], 2)
+            assert not cert.certified, triple
+            assert not pl.algorithm2(r, k=2, i=2).certificate.certified, triple
+        assert below == 14
+
+    def test_zero_right_side_certified(self):
+        left = np.array([[1.0, 0.0], [0.0, 0.0]])
+        cert = mc.GapCertificate.from_bands(left, np.zeros((2, 1)), 2)
+        assert (cert.sigma_i_left, cert.norm_right, cert.certified) == (0.0, 0.0, True)
+
+
+class TestCheckReport:
+    def test_add_passes_down_to_minus_tol(self):
+        rep = mc.CheckReport()
+        rep.add("at_tol", np.float64(-0.5), tol=0.5)
+        rep.add("past_tol", -0.5 - 1e-12, tol=0.5)
+        rep.add("no_tol", 0.0)
+        assert [(c.passed, type(c.margin)) for c in rep.checks] == [
+            (True, float), (False, float), (True, float)]
+        assert not rep.all_passed
 
 
 class TestSpectralInequalities:
