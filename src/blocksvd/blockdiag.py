@@ -15,7 +15,7 @@ from .givens import SingularBlockError, _build_rotation
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 LEMMA11_TOL = 1e-9      # slack of every Lemma 11 check, relative to the bands' norms
-KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins
+KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins, relative to ||y||_F^2
 
 
 @dataclass(frozen=True)
@@ -226,19 +226,12 @@ def top_singular_values(p: BlockPartition, i: int):
     return res.trace.records[-1].sigma_a[:i], cert, res
 
 
-@dataclass(frozen=True)
-class KyFanReport:
-    """Both partial-sum margins at index i; each is >= -KYFAN_TOL when the
-    Ky Fan comparison holds."""
-
-    i: int
-    head_margin: float   # sum_{j<=i} sigma_j^2 - sum_{j<=i} ||v_j||^2 >= 0
-    tail_margin: float   # sum_{j>i} ||v_j||^2 - sum_{j>i} sigma_j^2 >= 0
-
-
-def kyfan_column_bounds(y, i: int) -> KyFanReport:
-    """Partial-sum comparison between squared singular values and squared
-    column norms (columns sorted by descending norm)."""
+def kyfan_column_bounds(y, i: int) -> CheckReport:
+    """Partial-sum comparison at index i between squared singular values and
+    squared column norms (columns sorted by descending norm): ``head``,
+    sum_{j<=i} sigma_j^2 - sum_{j<=i} ||y_j||^2, and ``tail``,
+    sum_{j>i} ||y_j||^2 - sum_{j>i} sigma_j^2, each >= 0 by Ky Fan and
+    passing down to -KYFAN_TOL * ||y||_F^2."""
     y = as_matrix(y)
     q = y.shape[1]
     if not (1 <= i <= q):
@@ -246,6 +239,8 @@ def kyfan_column_bounds(y, i: int) -> KyFanReport:
     sig2 = np.linalg.svd(y, compute_uv=False) ** 2
     sig2 = np.concatenate([sig2, np.zeros(max(0, q - sig2.size))])
     col2 = np.sort((y**2).sum(axis=0))[::-1]
-    head = float(sig2[:i].sum() - col2[:i].sum())
-    tail = float(col2[i:].sum() - sig2[i:q].sum())
-    return KyFanReport(i=i, head_margin=head, tail_margin=tail)
+    tol = KYFAN_TOL * float(col2.sum())
+    rep = CheckReport()
+    rep.add("head", sig2[:i].sum() - col2[:i].sum(), tol)
+    rep.add("tail", col2[i:].sum() - sig2[i:q].sum(), tol)
+    return rep

@@ -23,8 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .givens import _check_pivot
-from .matcore import (BlockPartition, MatrixError, as_matrix, numerical_rank,
-                      operator_norm)
+from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix,
+                      numerical_rank, operator_norm)
+
+BOUND_TOL = 1e-10    # containment slack, relative to the scale of the values bounded
 
 
 @dataclass(frozen=True)
@@ -36,24 +38,28 @@ class BoundReport:
     k: int
     lower: float
     upper: float
-    oracle: float | None = None
+    oracle: float
 
     @property
-    def slack(self) -> float | None:
-        if self.oracle is None:
-            return None
+    def slack(self) -> float:
+        """The oracle's distance inside [lower, upper]; negative outside."""
         return float(min(self.oracle - self.lower, self.upper - self.oracle))
-
-    @property
-    def contains_oracle(self) -> bool:
-        if self.oracle is None:
-            return True
-        return self.lower - 1e-10 <= self.oracle <= self.upper + 1e-10
 
     def to_json(self) -> dict:
         return {"formula": self.formula, "i": self.i, "k": self.k,
                 "lower": self.lower, "upper": self.upper,
                 "oracle": self.oracle, "slack": self.slack}
+
+
+def containment(reports, scale: float) -> CheckReport:
+    """Each report's slack under its formula, passing down to -BOUND_TOL *
+    scale. ``scale`` is the size of the values bounded: sigma_1(R) for the
+    partition families, the largest expected-Gram eigenvalue for Theorem 3,
+    so that no verdict depends on the units of the matrix."""
+    rep = CheckReport()
+    for r in reports:
+        rep.add(r.formula, r.slack, BOUND_TOL * scale)
+    return rep
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 (the one block norm ``operator_norm``, a certified upper bound for
 non-negative blocks, and the Schur test), the gap certificate, numerical
 rank, the moment ratio of a positive sequence, and the one check report,
-for the Lemma 11 and (S1) diagnostics and the ``verify`` suites.
+for the Lemma 11, (S1) and Ky Fan diagnostics, bound containment and the
+``verify`` suites.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.

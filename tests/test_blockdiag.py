@@ -306,18 +306,31 @@ class TestTopSingularValues:
         assert not cert.certified
 
 
+def margins(rep):
+    return {c.name: c.margin for c in rep.checks}
+
+
 class TestKyFanColumnBounds:
     def test_orthogonal_columns_equality(self):
         q = np.linalg.qr(RNG.standard_normal((6, 6)))[0]
-        rep = bd.kyfan_column_bounds(q, 3)
-        assert abs(rep.head_margin) <= 1e-12
-        assert abs(rep.tail_margin) <= 1e-12
+        got = margins(bd.kyfan_column_bounds(q, 3))
+        assert abs(got["head"]) <= 1e-12
+        assert abs(got["tail"]) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**20], ids=["2^-20", "1", "2^20"])
+    def test_orthonormal_columns_pass_in_any_units(self, scale):
+        # head and tail are 0 in exact arithmetic; at 2^20 their rounding
+        # is about 1e-4, so the slack must scale with ||y||_F^2
+        for _ in range(20):
+            q = np.linalg.qr(RNG.standard_normal((8, 5)))[0]
+            rep = bd.kyfan_column_bounds(scale * q, 3)
+            assert rep.all_passed, rep.to_json()
 
     def test_golden_spectrum_hand_case(self):
         y = np.array([[1.0, 1.0], [0.0, 1.0]])
-        rep = bd.kyfan_column_bounds(y, 1)
-        assert rep.head_margin == pytest.approx(GOLDEN ** 2 - 2.0, abs=1e-12)
-        assert rep.tail_margin == pytest.approx(1.0 - (GOLDEN - 1.0) ** 2, abs=1e-12)
+        got = margins(bd.kyfan_column_bounds(y, 1))
+        assert got["head"] == pytest.approx(GOLDEN ** 2 - 2.0, abs=1e-12)
+        assert got["tail"] == pytest.approx(1.0 - (GOLDEN - 1.0) ** 2, abs=1e-12)
 
     def test_random_suite_no_violations(self):
         for _ in range(500):
@@ -326,8 +339,9 @@ class TestKyFanColumnBounds:
             y = RNG.standard_normal((m, n))
             i = int(RNG.integers(1, n + 1))
             rep = bd.kyfan_column_bounds(y, i)
-            assert rep.head_margin >= -1e-10
-            assert rep.tail_margin >= -1e-10
+            assert rep.all_passed
+            assert margins(rep)["head"] >= -1e-10
+            assert margins(rep)["tail"] >= -1e-10
 
 
 # Reference sweep: every rotation as a dense m x m or n x n product, built

@@ -18,13 +18,18 @@ def random_partition(m, n, k):
     return mc.BlockPartition(RNG.standard_normal((m, n)), k)
 
 
+def contained(p, *reports):
+    """The bounds command's verdict: containment at sigma_1(R)."""
+    return bo.containment(reports, np.linalg.norm(p.base, 2)).all_passed
+
+
 class TestWeylGapBounds:
     def test_zero_d_zero_width(self):
         r = RNG.standard_normal((6, 4))
         p = mc.BlockPartition(r, 2)
         p = mc.BlockPartition(p.zero_d(), 2)
         for rep in bo.weyl_gap_bounds(p, 2):
-            assert rep.contains_oracle
+            assert contained(p, rep)
             assert rep.upper - rep.lower <= 2 * (rep.upper - rep.oracle) + 1e-9 or True
         rep4 = bo.weyl_gap_bounds(p, 2)[0]
         assert rep4.upper - rep4.lower == pytest.approx(0.0, abs=1e-14)
@@ -35,7 +40,7 @@ class TestWeylGapBounds:
         m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.5]])
         p = mc.BlockPartition(m, 2)
         rep = bo.weyl_gap_bounds(p, 2)[0]
-        assert rep.contains_oracle
+        assert contained(p, rep)
         assert rep.oracle == pytest.approx(0.5, abs=1e-12)
         assert rep.upper - rep.oracle <= 0.5 + 1e-12
 
@@ -56,7 +61,7 @@ class TestWeylGapBounds:
             p = random_partition(8, 6, 2)
             i = int(RNG.integers(1, 6))
             for rep in bo.weyl_gap_bounds(p, i):
-                assert rep.contains_oracle, rep.to_json()
+                assert contained(p, rep), rep.to_json()
 
 
 class TestSmallRankBounds:
@@ -73,14 +78,14 @@ class TestSmallRankBounds:
         p = mc.BlockPartition(np.ones((4, 4)), 1)
         reports = bo.small_rank_bounds(p, 2)
         assert reports[0].upper == pytest.approx(np.sqrt(3.0), abs=1e-12)
-        assert reports[0].contains_oracle
+        assert contained(p, reports[0])
 
     def test_random_suite(self):
         for _ in range(500):
             k = int(RNG.integers(1, 4))
             p = random_partition(10, 8, k)
             for rep in bo.small_rank_bounds(p, 2 * k):
-                assert rep.contains_oracle, rep.to_json()
+                assert contained(p, rep), rep.to_json()
 
 
 class TestMuBounds:
@@ -97,7 +102,7 @@ class TestMuBounds:
         p = mc.BlockPartition(r, 1)
         rep = bo.mu_bounds(p, 2)
         assert rep.oracle == pytest.approx(1.0 - SIGMA2_CLOSED, abs=1e-12)
-        assert rep.contains_oracle
+        assert contained(p, rep)
 
     def test_closed_form_matches_svd_oracle(self):
         c, s = 0.6, 0.8
@@ -209,7 +214,7 @@ class TestTheorem2Bounds:
         rep = by_name["Thm2-R0-min"]
         assert rep.upper == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert rep.oracle == pytest.approx(GOLDEN_INV, abs=1e-12)
-        assert rep.contains_oracle
+        assert contained(p, rep)
 
     def test_zero_b_branch(self):
         r = RNG.standard_normal((4, 4))
@@ -234,7 +239,7 @@ class TestTheorem2Bounds:
             reports = bo.theorem2_bounds(p)
             by_name = {rep.formula: rep for rep in reports}
             assert "Cor5" in by_name
-            assert by_name["Cor5"].contains_oracle, by_name["Cor5"].to_json()
+            assert contained(p, by_name["Cor5"]), by_name["Cor5"].to_json()
 
     def test_random_suite_containment(self):
         for _ in range(1000):
@@ -247,7 +252,7 @@ class TestTheorem2Bounds:
             except mc.MatrixError:
                 continue
             for rep in reports:
-                assert rep.contains_oracle, rep.to_json()
+                assert contained(p, rep), rep.to_json()
 
     def test_singular_pivot_rejected(self):
         r = np.ones((4, 4))
@@ -274,8 +279,9 @@ class TestOnePivotFloor:
         r = near_singular_pivot(ratio)
         sa = np.linalg.svd(r[:3, :3], compute_uv=False)
         assert sa[-1] / sa[0] == pytest.approx(ratio, rel=1e-2)
-        reports = bo.theorem2_bounds(mc.BlockPartition(r, 3))
-        assert reports and all(rep.contains_oracle for rep in reports)
+        p = mc.BlockPartition(r, 3)
+        reports = bo.theorem2_bounds(p)
+        assert reports and contained(p, *reports)
         path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
         mmio.write_matrix(path, r)
         assert cli.main(["bounds", str(path), "--k", "3", "-o", str(out)]) == 0

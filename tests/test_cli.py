@@ -85,6 +85,22 @@ class TestBoundsCommand:
         formulas = {item["formula"] for item in rep["reports"]}
         assert {"Weyl-gap", "slice-mu", "Thm2-R0-min"} <= formulas
 
+    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**20], ids=["2^-20", "1", "2^20"])
+    def test_zero_d_contained_in_any_units(self, tmp_path, scale):
+        # Planted as the benchmark's analyze files (30% of |N(0, 1)|, the
+        # first 20 columns times 10, a nonzero pivot diagonal), then D = 0.
+        # Weyl-cross's interval is then a point whose rounding grows with
+        # the units: an absolute 1e-10 slack fails it at 2^20.
+        rng = np.random.default_rng(0)
+        r = np.abs(rng.standard_normal((200, 100))) * (rng.random((200, 100)) < 0.3)
+        r[:, :20] *= 10.0
+        r[np.arange(20), np.arange(20)] += 1.0
+        r[20:, 20:] = 0.0
+        path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
+        mmio.write_matrix(path, scale * r)
+        assert run(["bounds", path, "--k", 20, "--i", 3, "-o", out]) == 0
+        assert json.loads(out.read_text())["all_contain"] is True
+
 
 class TestPlanCommand:
     def test_plan_json(self, tmp_path):

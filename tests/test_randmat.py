@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from blocksvd import bounds as bo
 from blocksvd import matcore as mc
 from blocksvd import randmat as rm
 
@@ -13,6 +14,17 @@ def binary_profile(m, sizes):
     sizes = np.asarray(sizes, dtype=float)
     return rm.ColumnProfile(m=m, sizes=sizes, norms=np.sqrt(sizes),
                             L=int(sizes.max()))
+
+
+def contained(profile, reports):
+    """Containment at the largest expected-Gram eigenvalue, as Corollary 10 judges."""
+    scale = np.linalg.eigvalsh(rm.expected_gram(profile))[-1]
+    return bo.containment(reports, scale).all_passed
+
+
+def within(check, n_se):
+    """The moment lies within n_se standard errors of its closed form."""
+    return abs(check.empirical - check.formula) <= n_se * check.se
 
 
 def two_subsets(m, l):
@@ -117,12 +129,13 @@ class TestExpectedGram:
 
 class TestTheorem3Bounds:
     def test_hand_case_tight_lower(self):
-        reports = rm.theorem3_bounds(binary_profile(4, [2, 2]), slack_c=0.0)
+        prof = binary_profile(4, [2, 2])
+        reports = rm.theorem3_bounds(prof, slack_c=0.0)
         assert reports[0].upper == pytest.approx(4.0, abs=1e-12)
         assert reports[0].oracle == pytest.approx(3.0, abs=1e-12)
         assert reports[1].lower == pytest.approx(1.0, abs=1e-12)
         assert reports[1].oracle == pytest.approx(1.0, abs=1e-12)
-        assert all(rep.contains_oracle for rep in reports)
+        assert contained(prof, reports)
 
     def test_single_column_collapses(self):
         reports = rm.theorem3_bounds(binary_profile(9, [4]), slack_c=0.0)
@@ -136,8 +149,8 @@ class TestTheorem3Bounds:
             m = int(RNG.integers(50, 300))
             k = int(RNG.integers(2, 10))
             sizes = RNG.integers(2, max(3, m // 10), size=k)
-            reports = rm.theorem3_bounds(binary_profile(m, sizes))
-            assert all(rep.contains_oracle for rep in reports)
+            prof = binary_profile(m, sizes)
+            assert contained(prof, rm.theorem3_bounds(prof))
 
 
 class TestSamplers:
@@ -267,8 +280,8 @@ class TestLemma13:
         rep = rm.lemma13_stats(mx, my, trials=20000)
         assert rep.mean.formula == pytest.approx(1.0, abs=1e-14)
         assert rep.variance.formula == pytest.approx(1.0 / 3.0, abs=1e-14)
-        assert rep.mean.within(4.0)
-        assert rep.variance.within(4.0)
+        assert within(rep.mean, 4.0)
+        assert within(rep.variance, 4.0)
 
     def test_center_columns_zero_variance(self):
         m = 5
@@ -287,8 +300,8 @@ class TestLemma13:
         mx = rm.RandomColumnModel("fixed-size-and-norm", m, sizes=[s], norms=[b], seed=41)
         my = rm.RandomColumnModel("fixed-size-and-norm", m, sizes=[s], norms=[b], seed=42)
         rep = rm.lemma13_stats(mx, my, trials=20000)
-        assert rep.mean.within(4.0)
-        assert rep.variance.within(4.0)
+        assert within(rep.mean, 4.0)
+        assert within(rep.variance, 4.0)
 
     def test_fixed_size_moments(self):
         # norms vary, so the variance formula takes the sampled mean squares
@@ -296,8 +309,8 @@ class TestLemma13:
         my = rm.RandomColumnModel("fixed-size", 6, sizes=[2.0], seed=44)
         rep = rm.lemma13_stats(mx, my, trials=20000)
         assert rep.mean.formula == pytest.approx(1.0, abs=1e-14)
-        assert rep.mean.within(4.0)
-        assert rep.variance.within(4.0)
+        assert within(rep.mean, 4.0)
+        assert within(rep.variance, 4.0)
 
     def test_needs_two_trials(self):
         mx = rm.RandomColumnModel("binary", 4, sizes=[2.0], seed=21)
@@ -346,7 +359,7 @@ class TestFluctuationBounds:
         rep = rm.fluctuation_bounds(model, trials=5000)
         band = np.sqrt(1.0 / 3.0) * 2.0
         assert rep.band_fro == pytest.approx(band, abs=1e-12)
-        assert rep.containment(band, n_se=4.0)
+        assert np.all(np.abs(rep.e_sigma2 - rep.sigma_g) <= band + 4.0 * rep.e_sigma2_se)
         assert np.all(rep.kyfan_head_margins >= -4 * rep.e_sigma2_se.cumsum())
 
     def test_medium_case_containment(self):
@@ -354,7 +367,7 @@ class TestFluctuationBounds:
         sizes = RNG.integers(4, 20, size=k).astype(float)
         model = rm.RandomColumnModel("binary", m, sizes=sizes, seed=63)
         rep = rm.fluctuation_bounds(model, trials=2000)
-        assert rep.containment(rep.band_fro, n_se=4.0)
+        assert np.all(np.abs(rep.e_sigma2 - rep.sigma_g) <= rep.band_fro + 4.0 * rep.e_sigma2_se)
 
     def test_needs_a_trial(self):
         model = rm.RandomColumnModel("binary", 4, sizes=[2.0, 2.0], seed=62)
