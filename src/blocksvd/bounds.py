@@ -6,13 +6,12 @@ bottom-right block D zeroed. Truncation errors ||R - R_i|| are evaluated as
 sigma_{i+1}(R) rather than by forming the rank-i approximant.
 
 Indexing note. The slice bound for the gap |sigma_i(R) - sigma_i(R0)| reads
-the singular vectors from the i-th on (inclusive): the right slice takes
-rows i.. of V^T, and the left slice projects out the first i - 1 left
-singular vectors. The derivation bounds the rank-(i-1) truncation errors,
-whose values are the i-th singular values; the plane-rotation worked
-example (mu = c bounding the sigma_2 gap) pins this pairing down. The three
-families that take i raise MatrixError unless 1 <= i <= n, before they read
-any spectrum.
+the singular vectors from the i-th on (inclusive): both slices project out
+the first i - 1 singular vectors, left and right. The derivation bounds the
+rank-(i-1) truncation errors, whose values are the i-th singular values;
+the plane-rotation worked example (mu = c bounding the sigma_2 gap) pins
+this pairing down. The three families that take i raise MatrixError unless
+1 <= i <= n, before they read any spectrum.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .givens import _check_pivot
 from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix,
-                      numerical_rank, operator_norm)
+                      numerical_rank, operator_norm, r0_core)
 
 BOUND_TOL = 1e-10    # containment slack, relative to the scale of the values bounded
 
@@ -65,12 +64,13 @@ def containment(reports, scale: float) -> CheckReport:
 @dataclass(frozen=True)
 class SpectralPartition(BlockPartition):
     """A BlockPartition that keeps what the bound functions read, each
-    computed on first use: one thin ``np.linalg.svd`` of R and one of R0,
-    ``(u, s, vt)`` with ``u`` m x n and ``vt`` n x n, whose ``s`` are
-    ``sigma_r`` and ``sigma_r0``; the spectra of B and C; and ||D||. No
-    m x m factor is formed. Each bound function takes one in place of a
-    plain partition, so passing the same one to several computes each once.
-    It holds a read-only copy of the matrix, so nothing can go stale."""
+    computed on first use: thin SVD factors ``(u, s, vt)`` of R (m x n,
+    n x n) and of R0 (m x r, r x n, r <= 2k: the core's, ``r0_core``, mapped
+    through reduced QRs of C and B^T; no R0 is formed), whose ``s`` are
+    ``sigma_r`` and ``sigma_r0``; the spectra of B and C; and ||D||. Each
+    bound function takes one in place of a plain partition, so passing the
+    same one to several computes each once. It holds a read-only copy of
+    the matrix, so nothing can go stale."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -84,7 +84,11 @@ class SpectralPartition(BlockPartition):
 
     @cached_property
     def svd_r0(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return np.linalg.svd(self.zero_d(), full_matrices=False)
+        q_c, r_c = np.linalg.qr(self.c)
+        q_b, r_b = np.linalg.qr(self.b.T)
+        u, s, vt = np.linalg.svd(r0_core(self, r_c, r_b), full_matrices=False)
+        return (np.vstack([u[: self.k], q_c @ u[self.k :]]), s,
+                np.hstack([vt[:, : self.k], vt[:, self.k :] @ q_b.T]))
 
     @property
     def sigma_r(self) -> np.ndarray:
@@ -163,14 +167,18 @@ def small_rank_bounds(p: BlockPartition, i: int) -> list[BoundReport]:
 
 def _mu_slice(svd_factors, d: np.ndarray, i: int, k: int) -> float:
     """min of the two slice norms for the gap at index i (1-based; vectors
-    from i on), ||D V[k:, i-1:]|| and ||U[k:, i-1:]^T D||, from the thin SVD
-    factors ``(u, s, vt)`` of R or R0. The left one is taken as
-    ||(I - U_{i-1} U_{i-1}^T) [0; D]||, U_{i-1} = u[:, :i-1]: [0; D] has k
-    zero rows and the full U is orthogonal, so the two are equal."""
-    u, _, vt = svd_factors
-    left = u[:, : i - 1] @ (u[k:, : i - 1].T @ d)   # U_{i-1} U_{i-1}^T [0; D]
-    left[k:] -= d                                     # minus [0; D]: same norm
-    return min(operator_norm(d @ vt[i - 1 :, k:].T), operator_norm(left))
+    from i on), ||(I - U_j U_j^T) [0; D]|| and ||[0 D] (I - V_j V_j^T)||,
+    U_j and V_j the first j = min(i - 1, numerical rank) singular vectors
+    of the thin SVD factors ``(u, s, vt)`` of R or R0: ||U[k:, i-1:]^T D||
+    and ||D V[k:, i-1:]|| for full U and V, but past the rank, where those
+    read an arbitrary null-space basis, a function of the matrix alone."""
+    u, s, vt = svd_factors
+    j = min(i - 1, numerical_rank(s))
+    left = u[:, :j] @ (u[k:, :j].T @ d)     # U_j U_j^T [0; D]
+    left[k:] -= d                            # minus [0; D]: same norm
+    right = (d @ vt[:j, k:].T) @ vt[:j]      # [0 D] V_j V_j^T
+    right[:, k:] -= d
+    return min(operator_norm(left), operator_norm(right))
 
 
 def mu_bounds(p: BlockPartition, i: int) -> BoundReport:
@@ -178,8 +186,8 @@ def mu_bounds(p: BlockPartition, i: int) -> BoundReport:
 
     mu for each of R and R0 is the smaller of the two slice norms of the
     zeroed block against that matrix's own SVD factors; the report's upper
-    bound, mu_bar, is the max of the two mu values. For i > 2k it doubles
-    as an absolute bound since sigma_i(R0) = 0.
+    bound, mu_bar, is the max of the two mu values. Past rank(R0) <= 2k it
+    doubles as an absolute bound on sigma_i(R), since sigma_i(R0) = 0.
     """
     _check_index(p, i)
     p = _spectral(p)

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .matcore import BlockPartition, MatrixError
+from .matcore import BlockPartition, CheckReport, MatrixError
 
 
 def _emit(report: dict, path: str | None):
@@ -84,9 +84,10 @@ def _cmd_approx(args) -> int:
     from .pipeline import approximate
     report = approximate(read_matrix(args.matrix), k=args.k, i=args.i, oracle=args.oracle)
     _emit(report.to_json(), args.output)
+    check = CheckReport()
     if args.oracle:
-        return 0 if report.oracle_margin() >= 0.0 else 1
-    return 0
+        check.add("oracle_within_bound", report.oracle_margin())
+    return 0 if check.all_passed else 1
 
 
 def _cmd_verify(args) -> int:

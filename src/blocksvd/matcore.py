@@ -1,9 +1,9 @@
-"""Dense numerical substrate: input validation, block partitions, norms
-(the one block norm ``operator_norm``, a certified upper bound for
-non-negative blocks, and the Schur test), the gap certificate, numerical
-rank, the moment ratio of a positive sequence, and the one check report,
-for the Lemma 11, (S1) and Ky Fan diagnostics, bound containment and the
-``verify`` suites.
+"""Dense numerical substrate: input validation, block partitions and the
+rank-<=2k core of the zeroed-D matrix R0, norms (the one block norm
+``operator_norm``, a certified upper bound for non-negative blocks, and
+the Schur test), the gap certificate, numerical rank, the moment ratio of
+a positive sequence, and the one check report, for the Lemma 11, (S1) and
+Ky Fan diagnostics, bound containment and the ``verify`` suites.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -123,6 +123,17 @@ class BlockPartition:
     def right_band(self) -> np.ndarray:
         """Last n - k columns."""
         return self.base[:, self.k :]
+
+
+def r0_core(p: BlockPartition, r_c: np.ndarray, r_b: np.ndarray) -> np.ndarray:
+    """The core [[A, R_B^T], [R_C, 0]], of side at most 2k, from thin QRs
+    C = Q_C R_C and B^T = Q_B R_B: R0 = diag(I, Q_C) core diag(I, Q_B^T)."""
+    k = p.k
+    core = np.zeros((k + r_c.shape[0], k + r_b.shape[0]))
+    core[:k, :k] = p.a
+    core[:k, k:] = r_b.T
+    core[k:, :k] = r_c
+    return core
 
 
 def operator_norm(m) -> float:

@@ -7,12 +7,12 @@ driver that zeroes the bottom-right block D and returns the top singular
 values of the remainder R0 with a certified error of twice an upper bound
 on the operator norm of D. ``approximate`` runs both, as the CLI does.
 
-R0 = [[A, B], [C, 0]] has rank at most 2k. With thin QR factors
-C = Q_C R_C and B^T = Q_B R_B, R0 = diag(I, Q_C) [[A, R_B^T], [R_C, 0]]
-diag(I, Q_B^T), so sigma(R0) is the spectrum of that core of side at most
-2k (the rank-<=2k factored solve of Halko, Martinsson and Tropp,
-arXiv:0909.4061, section 5). The block-rotation sweeps of
-``blockdiag.top_singular_values`` reach the same values and certificate
+R0 = [[A, B], [C, 0]] has rank at most 2k. With thin QR factors C = Q_C R_C
+and B^T = Q_B R_B, R0 = diag(I, Q_C) [[A, R_B^T], [R_C, 0]] diag(I, Q_B^T),
+so sigma(R0) is the spectrum of that core of side at most 2k (the rank-<=2k
+factored solve of Halko, Martinsson and Tropp, arXiv:0909.4061, section 5),
+built by ``matcore.r0_core`` for ``bounds`` too. The block-rotation sweeps
+of ``blockdiag.top_singular_values`` reach the same values and certificate
 and stay as the reference that ``verify pipeline`` checks this path
 against.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (BlockPartition, GapCertificate, MatrixError, as_matrix,
-                      certified_norm, moment_ratio)
+                      certified_norm, moment_ratio, r0_core)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
 
@@ -243,12 +243,8 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     if len(shape) == 2 and shape[1] > DENSE_LIMIT:
         raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {shape[1]}")
     p = BlockPartition(r, k)
-    r_c = np.linalg.qr(p.c, mode="r")
     r_b = np.linalg.qr(p.b.T, mode="r")
-    core = np.zeros((k + r_c.shape[0], k + r_b.shape[0]))
-    core[:k, :k] = p.a
-    core[:k, k:] = r_b.T
-    core[k:, :k] = r_c
+    core = r0_core(p, np.linalg.qr(p.c, mode="r"), r_b)
     # sigma([A; C]) = sigma([A; R_C]) and ||B|| = ||R_B||
     cert = GapCertificate.from_bands(core[:, :k], r_b, i)
     norm_d = certified_norm(p.d)

@@ -145,7 +145,7 @@ def verify_bounds(seed: int, trials: int) -> mc.CheckReport:
         p = bn.SpectralPartition(p.base, p.k)
         scale = float(p.sigma_r[0])
         i = int(rng.integers(1, p.k + 1))
-        for r in bn.weyl_gap_bounds(p, min(i, p.n - 1) or 1):
+        for r in bn.weyl_gap_bounds(p, i):
             worst_weyl = min(worst_weyl, r.slack / scale)
         worst_mu = min(worst_mu, bn.mu_bounds(p, i).slack / scale)
         for r in bn.theorem2_bounds(p):

@@ -1,4 +1,5 @@
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -165,24 +166,109 @@ def thin_case(case):
     return r, k
 
 
+def projection_mu(p, i):
+    """The basis-free slice bound from full SVD factors: [0; D] and [0 D]
+    with the first min(i - 1, numerical rank) singular directions of each
+    of R and R0 projected out."""
+    k, d = p.k, p.d
+
+    def mu(r):
+        u, s, vt = np.linalg.svd(r)
+        j = min(i - 1, mc.numerical_rank(s))
+        left, right = np.zeros((p.m, p.n - k)), np.zeros((p.m - k, p.n))
+        left[k:], right[:, k:] = d, d
+        return min(np.linalg.norm(left - u[:, :j] @ (u[:, :j].T @ left), 2),
+                   np.linalg.norm(right - (right @ vt[:j].T) @ vt[:j], 2))
+    return max(mu(p.base), mu(p.zero_d()))
+
+
 class TestThinFactorsMatchCompletion:
-    """The left mu slice and the kernel norms are taken by projection from
-    thin factors; they agree with the completion formulas (full U, full
-    kernel basis) within 1e-13 max(1, ||D||), at every i from 1 (nothing
-    projected out) to n."""
+    """The mu slices and the kernel norms are taken by projection from thin
+    factors. Up to i = rank + 1, the smaller rank of R and R0, the slices
+    agree with the completion formula (full U and V) within 1e-13
+    max(1, ||D||); past it the completion reads LAPACK's arbitrary null-space
+    vectors, and mu_bar is the basis-free projection, never below the
+    completion's value. The kernel norms agree with the full kernel basis."""
 
     @pytest.mark.parametrize("case", ["tall", "square", "k_is_n_minus_1", "zero_d",
                                       "rank_deficient_b_c", "rank_deficient_square"])
     def test_same_as_completion(self, case):
         p = mc.BlockPartition(*thin_case(case))
         tol = 1e-13 * max(1.0, np.linalg.norm(p.d, 2))
+        rank = min(mc.numerical_rank(np.linalg.svd(r, compute_uv=False))
+                   for r in (p.base, p.zero_d()))
         for i in range(1, p.n + 1):
-            assert abs(bo.mu_bounds(p, i).upper - completion_mu(p, i)) <= tol, i
+            got = bo.mu_bounds(p, i).upper
+            if i <= rank + 1:
+                assert abs(got - completion_mu(p, i)) <= tol, i
+            else:
+                assert abs(got - projection_mu(p, i)) <= tol, i
+                assert got >= completion_mu(p, i) - tol, i
         for d, kmat in ((p.d, p.b), (p.d.T, p.c.T)):
             got = bo.kernel_restricted_norm(d, kmat)
             assert abs(got - completion_kernel_norm(d, kmat)) <= tol
             if case.startswith("rank_deficient"):   # the projecting path ran
                 assert got > 0.0
+
+
+def zero_column_case():
+    """(R, k): a 12 x 7 R whose last column is zero, split at k = 2."""
+    r = np.random.default_rng(3).standard_normal((12, 7))
+    r[:, -1] = 0.0
+    return r, 2
+
+
+class TestMuBasisFree:
+    """Reordering the rows and the columns past k changes neither sigma(R),
+    sigma(R0) nor the oracle, so it must not change mu_bar either, also
+    where the factors' trailing vectors span a null space."""
+
+    @pytest.mark.parametrize("case", ["r0_past_rank", "zero_column"])
+    def test_reordering_past_k_keeps_mu(self, case):
+        r, k = thin_case("tall") if case == "r0_past_rank" else zero_column_case()
+        m, n = r.shape
+        rng = np.random.default_rng(5)
+        tol = 1e-13 * np.linalg.norm(r, 2)
+        want = [bo.mu_bounds(mc.BlockPartition(r, k), i).upper for i in range(1, n + 1)]
+        for _ in range(5):
+            rows = np.concatenate([np.arange(k), k + rng.permutation(m - k)])
+            cols = np.concatenate([np.arange(k), k + rng.permutation(n - k)])
+            p = mc.BlockPartition(r[np.ix_(rows, cols)], k)
+            for i in range(1, n + 1):
+                assert abs(bo.mu_bounds(p, i).upper - want[i - 1]) <= tol, i
+
+
+class DenseR0(bo.SpectralPartition):
+    """The reference: R0's thin factors from an m x n SVD of R0 itself."""
+
+    @cached_property
+    def svd_r0(self):
+        return np.linalg.svd(self.zero_d(), full_matrices=False)
+
+
+class TestR0FromCore:
+    def test_tall_factors_and_reports_match_dense_r0(self):
+        rng = np.random.default_rng(600)
+        r = rng.standard_normal((600, 40)) + 3.0 * np.eye(600, 40)
+        k = 5
+        p, ref = bo.SpectralPartition(r, k), DenseR0(r, k)
+        u, s, vt = p.svd_r0
+        rank = s.size
+        assert rank <= 2 * k and u.shape == (600, rank) and vt.shape == (rank, 40)
+        np.testing.assert_allclose(u.T @ u, np.eye(rank), atol=1e-13)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(rank), atol=1e-13)
+        scale = float(p.sigma_r[0])
+        np.testing.assert_allclose((u * s) @ vt, p.zero_d(), atol=1e-13 * scale)
+
+        def families(q, i):
+            return (bo.weyl_gap_bounds(q, i) + bo.small_rank_bounds(q, i)
+                    + [bo.mu_bounds(q, i)] + bo.theorem2_bounds(q))
+        for i in range(1, 2 * k + 2):
+            for got, want in zip(families(p, i), families(ref, i), strict=True):
+                assert got.formula == want.formula
+                for field in ("lower", "upper", "oracle"):
+                    assert abs(getattr(got, field) - getattr(want, field)) <= 1e-13 * scale, \
+                        (i, got.formula, field)
 
 
 class TestKernelRestrictedNorm:
@@ -309,13 +395,15 @@ def test_report_json_round():
 
 class TestBoundsCommandSpectra:
     # (m, n, k, i): a tall case with the rank-cap report (i >= 2k), a
-    # square n = m = 2k case with the Cor5 report, and a tall m > 7n case
-    # with the rank-cap report
+    # square n = m = 2k case with the Cor5 report, where R0's core is m x n
+    # too, and a tall m > 7n case with the rank-cap report
     @pytest.mark.parametrize("m,n,k,i", [(30, 12, 4, 8), (8, 8, 4, 2), (60, 8, 3, 6)])
     def test_each_spectrum_once_and_reports_unchanged(self, tmp_path, monkeypatch, m, n, k, i):
         rng = np.random.default_rng(m * n + k)
         path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
         mmio.write_matrix(path, rng.standard_normal((m, n)) + 3.0 * np.eye(m, n))
+        core = (k + min(m - k, k), k + min(n - k, k))
+        assert max(core) <= 2 * k
         calls, full = [], []
         real_svd = np.linalg.svd
 
@@ -323,17 +411,18 @@ class TestBoundsCommandSpectra:
             a = np.asarray(a)
             if compute_uv and full_matrices:
                 full.append(a.shape)
-            if a.shape == (m, n):  # R or R0, told apart by their D block
-                calls.append((compute_uv, bool(a[k:, k:].any())))
+            if a.shape in ((m, n), core):  # R or the core, told apart by their D block
+                calls.append((a.shape, compute_uv, bool(a[k:, k:].any())))
             return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         code = cli.main(["bounds", str(path), "--k", str(k), "--i", str(i), "-o", str(out)])
         monkeypatch.undo()
         assert code == 0
-        # one SVD with vectors of R, one of R0, and no values-only SVD of
-        # either; no SVD that returns vectors forms a full orthogonal factor
-        assert sorted(calls) == [(True, False), (True, True)], calls
+        # one SVD with vectors of R and one of R0's core, no m x n SVD of
+        # R0 and no values-only SVD of either; no SVD that returns vectors
+        # forms a full orthogonal factor
+        assert sorted(calls) == sorted([((m, n), True, True), (core, True, False)]), calls
         assert full == [], full
 
         rep = json.loads(out.read_text())

@@ -169,6 +169,16 @@ class TestApproxCommand:
         assert np.abs(true - rep["values"]).max() <= rep["error_bound"] + 1e-9 * true[0]
 
 
+    @pytest.mark.parametrize("margin,code", [(-1e-300, 1), (0.0, 0)])
+    def test_oracle_verdict_is_the_check_rule(self, tmp_path, monkeypatch, margin, code):
+        # exit 1 on any negative margin, 0 from a margin of exactly 0 up
+        path, _ = write_banded(tmp_path, m=40, n=25, k=6)
+        out = tmp_path / "rep.json"
+        monkeypatch.setattr(pl.ApproxReport, "oracle_margin", lambda self: margin)
+        assert run(["approx", path, "--k", 6, "--i", 4, "--oracle", "-o", out]) == code
+        assert len(json.loads(out.read_text())["oracle_values"]) == 4
+
+
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path):
         out = tmp_path / "rep.json"
