@@ -26,12 +26,12 @@ _EXPORTS = {
     "bounds": ("BoundReport", "SpectralPartition", "example1_sigma2",
                "kernel_restricted_norm", "mu_bounds", "small_rank_bounds",
                "theorem2_bounds", "weyl_gap_bounds"),
-    "givens": ("BlockGivens", "BlockRotationFactors", "SingularBlockError",
-               "block_rotation_decompose", "block_trig", "build_left_rotation",
-               "build_right_rotation", "householder_block", "rotation_weight"),
+    "givens": ("BlockGivens", "BlockRotationFactors", "block_rotation_decompose",
+               "block_trig", "build_left_rotation", "build_right_rotation",
+               "householder_block", "rotation_weight"),
     "matcore": ("BlockPartition", "CheckItem", "CheckReport", "GapCertificate",
-                "MatrixError", "NormBound", "as_matrix", "certified_norm", "moment_ratio",
-                "operator_norm", "schur_test_bound"),
+                "MatrixError", "NormBound", "SingularBlockError", "as_matrix", "certified_norm",
+                "check_pivot", "moment_ratio", "operator_norm", "schur_test_bound"),
     "mmio": ("MatrixMarketError", "read_matrix", "write_matrix"),
     "pipeline": ("ApproxReport", "PartitionPlan", "PipelineError", "algorithm2",
                  "approximate", "plan_partition"),

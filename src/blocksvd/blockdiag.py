@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (BlockPartition, CheckReport, GapCertificate, MatrixError,
-                      as_matrix, operator_norm)
-from .givens import SingularBlockError, _build_rotation
+                      SingularBlockError, as_matrix, operator_norm)
+from .givens import _build_rotation
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
@@ -111,25 +111,15 @@ class BlockDiagResult:
         return float(np.abs(got[: self.spectrum.size] - self.spectrum).max())
 
 
-class PivotSingularError(SingularBlockError):
-    """A_t became numerically singular mid-run; the trace so far is attached."""
-
-    def __init__(self, trace: SweepTrace, sigma_min: float):
-        # its own message, in place of SingularBlockError's
-        MatrixError.__init__(self, f"pivot block singular mid-run (sigma_min={sigma_min:.3e})")
-        self.trace = trace
-        self.sigma_min = sigma_min
-
-
 def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> BlockDiagResult:
     """Alternate left/right rotations until both off-blocks are annihilated.
 
     The first step eliminates C (left rotation). Stops when
-    max(||B_t||, ||C_t||) <= tol * ||R||; raises PivotSingularError if the
-    pivot block degenerates mid-run, and MatrixError unless tol is finite
-    and >= 0 and max_iter >= 0. Each rotation acts on the iterate through
-    its rank-r coupling, r <= k, never as a dense product.
+    max(||B_t||, ||C_t||) <= tol * ||R||; raises SingularBlockError, with
+    the trace so far, when a rotation meets a singular A_t, and MatrixError
+    unless tol is finite and >= 0 and max_iter >= 0. Each rotation acts on
+    the iterate through its rank-r coupling, r <= k, never as a dense product.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise MatrixError(f"need a finite tol >= 0, got tol={tol}")
@@ -149,7 +139,8 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
         try:
             g = _build_rotation(cur, side, rec.sigma_a)
         except SingularBlockError as exc:
-            raise PivotSingularError(trace, exc.sigma_min) from exc
+            exc.trace = trace
+            raise
         g.apply(cur.base)
         # Exact annihilation of the targeted block, not just small residual.
         if side == "left":
@@ -190,11 +181,11 @@ def check_lemma11(trace: SweepTrace) -> CheckReport:
         # D-contraction: (1 + off^2/||A||^2)^(-1/2)
         if prev.norm_a > 0:
             margins.append(prev.norm_d / np.sqrt(1.0 + (off / prev.norm_a) ** 2) - nxt.norm_d)
-        # new off-block: (sigma_k^2 + off^2)^(-1/2) * off * ||D||
-        denom = np.sqrt(prev.sigma_k_a**2 + off**2)
+        # new off-block: (sigma_k^2 + off^2)^(-1/2) * off * ||D||, squaring nothing
+        denom = np.hypot(prev.sigma_k_a, off)
         if denom > 0:
             new_off = nxt.norm_c if prev.norm_b >= prev.norm_c else nxt.norm_b
-            margins.append(off * prev.norm_d / denom - new_off)
+            margins.append(prev.norm_d * (off / denom) - new_off)
     rep.add("iv_contraction", min(margins, default=0.0),
             tol if trace.n == trace.k + 1 else np.inf)
     # (v) gap preservation once it holds at t = 0

@@ -21,8 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .givens import _check_pivot
-from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix,
+from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix, check_pivot,
                       numerical_rank, operator_norm, r0_core)
 
 BOUND_TOL = 1e-10    # containment slack, relative to the scale of the values bounded
@@ -41,8 +40,8 @@ class BoundReport:
 
     @property
     def slack(self) -> float:
-        """The oracle's distance inside [lower, upper]; negative outside."""
-        return float(min(self.oracle - self.lower, self.upper - self.oracle))
+        """The oracle's distance inside [lower, upper]: negative outside, NaN if any is."""
+        return float(np.minimum(self.oracle - self.lower, self.upper - self.oracle))
 
     def to_json(self) -> dict:
         return {"formula": self.formula, "i": self.i, "k": self.k,
@@ -224,13 +223,13 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     The reports carry the min-form bound and the weaker closed-form bound
     for R0, the corrected bound for R, and, when the partition is square
     with n = m = 2k and invertible blocks, the symmetric two-term bound.
-    Raises SingularBlockError when the pivot block A fails the rotations'
-    singularity test.
+    Raises SingularBlockError when A fails ``matcore.check_pivot``. The
+    closed forms use ``np.hypot`` and divide first, so no square overflows.
     """
     p = _spectral(p)
     a, b, c, d = p.a, p.b, p.c, p.d
     sa = np.linalg.svd(a, compute_uv=False)
-    _check_pivot(sa)
+    check_pivot(sa)
     aib = np.linalg.solve(a, b)
     cai = np.linalg.solve(a.T, c.T).T
     nb, nc, nd = float(p.sigma_b[0]), float(p.sigma_c[0]), p.norm_d
@@ -247,7 +246,7 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     branch_c = n_cai / np.sqrt(1.0 + n_cai**2) * nb
     branch_b = n_aib / np.sqrt(1.0 + n_aib**2) * nc
     r0_min = min(branch_c, branch_b)
-    r0_closed = nb * nc / np.sqrt(sa[-1] ** 2 + max(nb, nc) ** 2) if max(nb, nc) > 0 else 0.0
+    r0_closed = nb * (nc / np.hypot(sa[-1], max(nb, nc))) if max(nb, nc) > 0 else 0.0
     r_bound = min(branch_c + rho2, branch_b + rho1)
     reports = [
         BoundReport("Thm2-R0-min", p.k, p.k, 0.0, float(r0_min), oracle=_sigma(p.sigma_r0, p.k + 1)),
@@ -260,8 +259,8 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
         sk_a = float(sa[-1])
         sk_b = float(p.sigma_b[-1])
         sk_c = float(p.sigma_c[-1])
-        term_b = nb * nc / np.sqrt(sk_a**2 + nb**2) + na * nd / np.sqrt(na**2 + sk_b**2)
-        term_c = nb * nc / np.sqrt(sk_a**2 + nc**2) + na * nd / np.sqrt(na**2 + sk_c**2)
+        term_b = nc * (nb / np.hypot(sk_a, nb)) + nd * (na / np.hypot(na, sk_b))
+        term_c = nb * (nc / np.hypot(sk_a, nc)) + nd * (na / np.hypot(na, sk_c))
         reports.append(BoundReport("Cor5", k, k, 0.0, float(min(term_b, term_c)),
                                    oracle=_sigma(p.sigma_r, k + 1)))
     return reports

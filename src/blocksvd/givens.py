@@ -18,19 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import BlockPartition, MatrixError, as_matrix, numerical_rank, operator_norm
+from .matcore import (BlockPartition, MatrixError, as_matrix, check_pivot, numerical_rank,
+                      operator_norm)
 
-SINGULARITY_TOL = 1e-13  # relative floor on sigma_min(A)
 ORTH_TOL = 1e-10         # block_rotation_decompose: ||Q^T Q - I|| per dimension
 TRIG_TOL = 1e-12         # block_rotation_decompose: sines above this are non-trivial
-
-
-class SingularBlockError(MatrixError):
-    """The pivot block A is numerically singular."""
-
-    def __init__(self, sigma_min: float):
-        super().__init__(f"pivot block is numerically singular (sigma_min={sigma_min:.3e})")
-        self.sigma_min = sigma_min
 
 
 @dataclass(frozen=True)
@@ -127,12 +119,6 @@ class BlockRotationFactors:
                 @ scipy.linalg.block_diag(self.q1p, self.q2p))
 
 
-def _check_pivot(sigma_a: np.ndarray) -> None:
-    """Raise SingularBlockError unless sigma(A), descending, clears the floor."""
-    if sigma_a[-1] <= SINGULARITY_TOL * max(sigma_a[0], 1.0):
-        raise SingularBlockError(float(sigma_a[-1]))
-
-
 def _ratio_svd(a: np.ndarray, b: np.ndarray):
     """Thin SVD (u, sigma, v) of A^{-1} b: u @ diag(sigma) @ v.T."""
     u, sig, vt = np.linalg.svd(np.linalg.solve(a, b), full_matrices=False)
@@ -157,7 +143,7 @@ def block_trig(a, b) -> BlockGivens:
     if b.shape[0] != k:
         raise MatrixError(f"B must have {k} rows, got {b.shape}")
     sigma_a = np.linalg.svd(a, compute_uv=False)
-    _check_pivot(sigma_a)
+    check_pivot(sigma_a)
     return _rotation("right", a, b, b, k + b.shape[1], sigma_a)
 
 
@@ -173,7 +159,7 @@ def _rotation(side: str, a: np.ndarray, off: np.ndarray, off_block: np.ndarray,
         return BlockGivens(side=side, k=k, dim=dim, u=np.zeros((k, r)),
                            v=np.zeros((dim - k, r)), ratio_sigma=np.zeros(r),
                            off_block=off_block.copy(), degenerate=True)
-    _check_pivot(np.linalg.svd(a, compute_uv=False) if sigma_a is None else sigma_a)
+    check_pivot(np.linalg.svd(a, compute_uv=False) if sigma_a is None else sigma_a)
     u, sig, v = _ratio_svd(a, off)
     return BlockGivens(side=side, k=k, dim=dim, u=u, v=v, ratio_sigma=sig,
                        off_block=off_block.copy(), degenerate=False)

@@ -1,9 +1,10 @@
 """Dense numerical substrate: input validation, block partitions and the
-rank-<=2k core of the zeroed-D matrix R0, norms (the one block norm
-``operator_norm``, a certified upper bound for non-negative blocks, and
-the Schur test), the gap certificate, numerical rank, the moment ratio of
-a positive sequence, and the one check report, for the Lemma 11, (S1) and
-Ky Fan diagnostics, bound containment and the ``verify`` suites.
+rank-<=2k core of the zeroed-D matrix R0, the one singular-pivot rule
+``check_pivot``, norms (the one block norm ``operator_norm``, a certified
+upper bound for non-negative blocks, and the Schur test), the gap
+certificate, numerical rank, the moment ratio of a positive sequence, and
+the one check report, for the Lemma 11, (S1) and Ky Fan diagnostics, bound
+containment and the ``verify`` suites.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -16,10 +17,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RANK_TOL = 1e-12     # numerical rank: singular values above RANK_TOL * sigma_1
+SINGULARITY_TOL = 1e-13  # a pivot is singular when sigma_min <= SINGULARITY_TOL * sigma_1
 
 
 class MatrixError(ValueError):
     """Raised on malformed matrix inputs (shape, non-finite entries, ranges)."""
+
+
+class SingularBlockError(MatrixError):
+    """A pivot block A failed ``check_pivot``; ``trace`` is the sweeps'
+    trace so far when ``block_diagonalize`` raises it, else None."""
+
+    def __init__(self, sigma_min: float, trace=None):
+        super().__init__(f"pivot block is numerically singular (sigma_min={sigma_min:.3e})")
+        self.sigma_min = sigma_min
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -315,6 +327,13 @@ def numerical_rank(sigma) -> int:
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
+
+
+def check_pivot(sigma) -> None:
+    """Raise SingularBlockError when sigma_min <= SINGULARITY_TOL * sigma_1
+    for a pivot block's descending spectrum ``sigma``: a ratio, unit-free."""
+    if sigma[-1] <= SINGULARITY_TOL * sigma[0]:
+        raise SingularBlockError(float(sigma[-1]))
 
 
 def schur_test_bound(m) -> float:

@@ -37,7 +37,7 @@ def test_criterion_01_block_givens_correctness():
                             (gv.build_left_rotation, "left")):
             try:
                 g = build(p)
-            except gv.SingularBlockError:
+            except mc.SingularBlockError:
                 continue
             q = g.matrix
             orth = mc.operator_norm(q.T @ q - np.eye(q.shape[0])) / n

@@ -7,7 +7,6 @@ import pytest
 from blocksvd import cli, mmio
 from blocksvd import matcore as mc
 from blocksvd import bounds as bo
-from blocksvd import givens as gv
 
 RNG = np.random.default_rng(4242)
 
@@ -358,7 +357,8 @@ def near_singular_pivot(ratio):
 
 class TestOnePivotFloor:
     """theorem2_bounds refuses a pivot by the rotations' own test,
-    sigma_min(A) <= 1e-13 * max(sigma_1(A), 1), and by no other."""
+    matcore.check_pivot's sigma_min(A) <= 1e-13 * sigma_1(A), and by no
+    other."""
 
     @pytest.mark.parametrize("ratio", [5e-13, 2e-13])
     def test_pivot_above_floor_analysed(self, tmp_path, ratio):
@@ -375,14 +375,24 @@ class TestOnePivotFloor:
 
     def test_pivot_below_floor_refused(self, tmp_path, capsys):
         r = near_singular_pivot(1e-14)
-        with pytest.raises(gv.SingularBlockError):
+        with pytest.raises(mc.SingularBlockError):
             bo.theorem2_bounds(mc.BlockPartition(r, 3))
         path = tmp_path / "r.mtx"
         mmio.write_matrix(path, r)
         assert cli.main(["bounds", str(path), "--k", "3"]) == 2
-        assert capsys.readouterr().err.startswith("error: pivot block is numerically singular")
+        bounds_err = capsys.readouterr().err
+        assert bounds_err.startswith("error: pivot block is numerically singular (sigma_min=")
         assert cli.main(["blockdiag", str(path), "--k", "3"]) == 2
-        assert capsys.readouterr().err.startswith("error: pivot block singular mid-run")
+        assert capsys.readouterr().err == bounds_err
+
+
+@pytest.mark.parametrize("field", ["lower", "upper", "oracle"])
+def test_nan_bound_fails_containment(field):
+    # min(x, nan) is x in Python, which let a NaN upper bound pass
+    values = dict(lower=0.0, upper=2.0, oracle=1.0)
+    values[field] = np.nan
+    rep = bo.BoundReport("hand-built", 1, 1, **values)
+    assert not bo.containment([rep], 1.0).all_passed
 
 
 def test_report_json_round():

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from blocksvd import bounds as bn
 from blocksvd import cli, mmio
+from blocksvd import givens as gv
 from blocksvd import pipeline as pl
 from blocksvd.matcore import MatrixError
 
@@ -72,7 +74,54 @@ class TestBlockdiagCommand:
         path = tmp_path / "singular.mtx"
         mmio.write_matrix(path, r)
         assert run(["blockdiag", path, "--k", 3]) == 2
-        assert capsys.readouterr().err.startswith("error: pivot block singular")
+        assert capsys.readouterr().err.startswith("error: pivot block is numerically singular")
+
+
+def _reject_non_finite(constant):
+    raise AssertionError(f"non-finite JSON float {constant}")
+
+
+def _verdicts(tmp_path, r, k, i):
+    """What bounds --i i and blockdiag --oracle decide for r, not their values."""
+    path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
+    mmio.write_matrix(path, r)
+    verdicts = []
+    for argv in (["bounds", path, "--k", k, "--i", i], ["blockdiag", path, "--k", k, "--oracle"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run([*argv, "-o", out])
+        rep = json.loads(out.read_text(), parse_constant=_reject_non_finite)
+        verdicts.append((code, rep.get("all_contain"), rep.get("iterations"),
+                         [c["passed"] for c in rep.get("diagnostics", {}).get("checks", [])]))
+    return verdicts
+
+
+class TestUnitInvariance:
+    """Scaling R by a power of two changes no singular-value ratio, so no
+    verdict: the pivot rule is relative to sigma_1(A), and the closed forms
+    neither overflow nor underflow."""
+
+    def test_commands_decide_alike_at_every_scale(self, tmp_path):
+        # planted like the benchmark's analyze files: 30% density, |N(0, 1)|
+        # values, the k pivot columns scaled by 10, a nonzero pivot diagonal
+        rng = np.random.default_rng(25)
+        k = 20
+        r = np.abs(rng.standard_normal((200, 100))) * (rng.random((200, 100)) < 0.3)
+        r[:, :k] *= 10.0
+        r[np.arange(k), np.arange(k)] += np.abs(rng.standard_normal(k))
+        want = _verdicts(tmp_path, r, k, 3)
+        assert [v[0] for v in want] == [0, 0]
+        for e in (-600, -40, 40, 600):
+            assert _verdicts(tmp_path, np.ldexp(r, e), k, 3) == want, e
+
+    def test_rotations_alike_at_every_scale(self):
+        np.testing.assert_array_equal(gv.householder_block(1e-14, [1e-14]),
+                                      gv.householder_block(1.0, [1.0]))
+        rng = np.random.default_rng(26)
+        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
+        want, got = gv.block_trig(a, b), gv.block_trig(np.ldexp(a, -50), np.ldexp(b, -50))
+        for name in ("cos_ab", "cos_ba", "sin_ab"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestBoundsCommand:
@@ -421,7 +470,7 @@ def test_import_leaves_slow_scipy_modules_unloaded():
 
 
 @pytest.mark.parametrize("command, adds", [
-    (["bounds", "--k", 3], {"mmio", "givens", "bounds"}),
+    (["bounds", "--k", 3], {"mmio", "bounds"}),
     (["blockdiag", "--k", 3], {"mmio", "givens", "blockdiag"}),
     (["approx", "--k", 3, "--i", 2], {"mmio", "pipeline"}),
     (["plan"], {"mmio", "pipeline"}),

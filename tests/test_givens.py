@@ -57,7 +57,7 @@ class TestBlockTrig:
             assert np.linalg.svd(t.cos_ba, compute_uv=False)[-1] > 0
 
     def test_singular_a_rejected(self):
-        with pytest.raises(gv.SingularBlockError):
+        with pytest.raises(mc.SingularBlockError):
             gv.block_trig(np.zeros((2, 2)), np.ones((2, 1)))
 
     def test_matrix_is_the_right_rotation(self):
