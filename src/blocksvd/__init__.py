@@ -31,7 +31,7 @@ _EXPORTS = {
                "householder_block", "rotation_weight"),
     "matcore": ("BlockPartition", "CheckItem", "CheckReport", "GapCertificate",
                 "MatrixError", "NormBound", "SingularBlockError", "as_matrix", "certified_norm",
-                "check_pivot", "moment_ratio", "operator_norm", "schur_test_bound"),
+                "check_pivot", "cos_sin", "moment_ratio", "operator_norm", "schur_test_bound"),
     "mmio": ("MatrixMarketError", "read_matrix", "write_matrix"),
     "pipeline": ("ApproxReport", "PartitionPlan", "PipelineError", "algorithm2",
                  "approximate", "plan_partition"),

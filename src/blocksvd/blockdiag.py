@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (BlockPartition, CheckReport, GapCertificate, MatrixError,
-                      SingularBlockError, as_matrix, operator_norm)
+                      SingularBlockError, as_matrix, cos_sin, operator_norm)
 from .givens import _build_rotation
 
 DEFAULT_TOL = 1e-12
@@ -178,14 +178,13 @@ def check_lemma11(trace: SweepTrace) -> CheckReport:
     margins = []
     for prev, nxt in zip(recs[1:], recs[2:]):
         off = prev.norm_b if prev.norm_b >= prev.norm_c else prev.norm_c
-        # D-contraction: (1 + off^2/||A||^2)^(-1/2)
+        # D-contraction: ||D|| times the cosine of the angle of tangent off / ||A||
         if prev.norm_a > 0:
-            margins.append(prev.norm_d / np.sqrt(1.0 + (off / prev.norm_a) ** 2) - nxt.norm_d)
-        # new off-block: (sigma_k^2 + off^2)^(-1/2) * off * ||D||, squaring nothing
-        denom = np.hypot(prev.sigma_k_a, off)
-        if denom > 0:
+            margins.append(prev.norm_d * cos_sin(off, prev.norm_a)[0] - nxt.norm_d)
+        # new off-block: ||D|| times the sine of the angle of tangent off / sigma_k(A)
+        if off > 0 or prev.sigma_k_a > 0:
             new_off = nxt.norm_c if prev.norm_b >= prev.norm_c else nxt.norm_b
-            margins.append(prev.norm_d * (off / denom) - new_off)
+            margins.append(prev.norm_d * cos_sin(off, prev.sigma_k_a)[1] - new_off)
     rep.add("iv_contraction", min(margins, default=0.0),
             tol if trace.n == trace.k + 1 else np.inf)
     # (v) gap preservation once it holds at t = 0

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix, check_pivot,
-                      numerical_rank, operator_norm, r0_core)
+                      cos_sin, numerical_rank, operator_norm, r0_core)
 
 BOUND_TOL = 1e-10    # containment slack, relative to the scale of the values bounded
 
@@ -223,8 +223,9 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     The reports carry the min-form bound and the weaker closed-form bound
     for R0, the corrected bound for R, and, when the partition is square
     with n = m = 2k and invertible blocks, the symmetric two-term bound.
-    Raises SingularBlockError when A fails ``matcore.check_pivot``. The
-    closed forms use ``np.hypot`` and divide first, so no square overflows.
+    Raises SingularBlockError when A fails ``matcore.check_pivot``. Each
+    cosine and sine is a ``matcore.cos_sin`` angle, of tangent a ratio
+    singular value or a ratio of block norms, so no square overflows.
     """
     p = _spectral(p)
     a, b, c, d = p.a, p.b, p.c, p.d
@@ -236,15 +237,14 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     rank_b, rank_c = numerical_rank(p.sigma_b), numerical_rank(p.sigma_c)
     sig_aib = np.linalg.svd(aib, compute_uv=False)
     sig_cai = np.linalg.svd(cai, compute_uv=False)
-    n_aib, n_cai = float(sig_aib[0]), float(sig_cai[0])
-    nu1 = 1.0 / np.sqrt(1.0 + float(sig_aib[rank_b - 1]) ** 2) if rank_b else 1.0
-    nu2 = 1.0 / np.sqrt(1.0 + float(sig_cai[rank_c - 1]) ** 2) if rank_c else 1.0
+    nu1 = cos_sin(float(sig_aib[rank_b - 1]), 1.0)[0] if rank_b else 1.0
+    nu2 = cos_sin(float(sig_cai[rank_c - 1]), 1.0)[0] if rank_c else 1.0
     dker_b = kernel_restricted_norm(d, b)
     dtker_ct = kernel_restricted_norm(d.T, c.T)
     rho1 = nu1 * nd + (1.0 - nu1) * dker_b
     rho2 = nu2 * nd + (1.0 - nu2) * dtker_ct
-    branch_c = n_cai / np.sqrt(1.0 + n_cai**2) * nb
-    branch_b = n_aib / np.sqrt(1.0 + n_aib**2) * nc
+    branch_c = cos_sin(float(sig_cai[0]), 1.0)[1] * nb
+    branch_b = cos_sin(float(sig_aib[0]), 1.0)[1] * nc
     r0_min = min(branch_c, branch_b)
     r0_closed = nb * (nc / np.hypot(sa[-1], max(nb, nc))) if max(nb, nc) > 0 else 0.0
     r_bound = min(branch_c + rho2, branch_b + rho1)
@@ -259,8 +259,8 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
         sk_a = float(sa[-1])
         sk_b = float(p.sigma_b[-1])
         sk_c = float(p.sigma_c[-1])
-        term_b = nc * (nb / np.hypot(sk_a, nb)) + nd * (na / np.hypot(na, sk_b))
-        term_c = nb * (nc / np.hypot(sk_a, nc)) + nd * (na / np.hypot(na, sk_c))
+        term_b = nc * cos_sin(nb, sk_a)[1] + nd * cos_sin(sk_b, na)[0]
+        term_c = nb * cos_sin(nc, sk_a)[1] + nd * cos_sin(sk_c, na)[0]
         reports.append(BoundReport("Cor5", k, k, 0.0, float(min(term_b, term_c)),
                                    oracle=_sigma(p.sigma_r, k + 1)))
     return reports

@@ -6,9 +6,10 @@ block of R when applied on the right; the left counterpart, built from
 trig block comes from one primitive, the thin SVD U diag(sigma) V^T of
 A^{-1}B (resp. A^{-T}C^T): cos = I - U diag(1 - c) U^T on the k-side,
 I - V diag(1 - c) V^T on the other, sin = U diag(s) V^T, with
-c = (1 + sigma^2)^(-1/2), s = sigma c and 1 - c = s^2 / (1 + c), which has
-no cancellation. The constructed rotation is orthogonal to machine
-precision regardless of the conditioning of A.
+(c, s) = matcore.cos_sin(sigma, 1), the angle of tangent sigma, formed
+without squaring sigma, and 1 - c = s^2 / (1 + c), which has no
+cancellation. The constructed rotation is orthogonal to machine precision
+regardless of the conditioning of A or the size of sigma.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import (BlockPartition, MatrixError, as_matrix, check_pivot, numerical_rank,
-                      operator_norm)
+from .matcore import (BlockPartition, MatrixError, as_matrix, check_pivot, cos_sin,
+                      numerical_rank, operator_norm)
 
 ORTH_TOL = 1e-10         # block_rotation_decompose: ||Q^T Q - I|| per dimension
 TRIG_TOL = 1e-12         # block_rotation_decompose: sines above this are non-trivial
@@ -33,16 +34,17 @@ class BlockGivens:
     rows, annihilates C); ``dim`` is its order. ``u`` (k x r), ``v``
     ((dim-k) x r) and ``ratio_sigma`` are the thin SVD of A^{-1}B (right)
     or A^{-T}C^T (left), r = min(k, dim - k); ``apply`` rotates through
-    them in O(r) work per entry. ``off_block`` is the off-block the
-    rotation annihilates, as it was. ``degenerate`` marks an identity
+    them in O(r) work per entry. The rotation keeps these angles and no
+    copy of the off-block it annihilates. ``degenerate`` marks an identity
     rotation (the off-block was already zero).
 
     The paper's trig blocks are ``cos_ab`` (k x k), ``cos_ba``
     ((dim-k) x (dim-k)) and ``sin_ab`` (k x (dim-k)); a right rotation is
     [[cos_ab, -sin_ab], [sin_ab^T, cos_ba]], and a left one the transpose
     of the right rotation of (A^T, C^T). ``matrix``, the dense dim x dim
-    rotation, and ``off_rank``, the numerical rank of ``off_block``, are
-    computed on first access.
+    rotation, is computed on first access. ``off_rank``, the numerical
+    rank of the off-block, is read from ``ratio_sigma``: A is invertible,
+    so A^{-1}B has the rank of B.
     """
 
     side: str
@@ -51,7 +53,6 @@ class BlockGivens:
     u: np.ndarray
     v: np.ndarray
     ratio_sigma: np.ndarray
-    off_block: np.ndarray
     degenerate: bool
 
     def apply(self, x: np.ndarray) -> None:
@@ -88,9 +89,9 @@ class BlockGivens:
         self.apply(g)
         return g
 
-    @cached_property
+    @property
     def off_rank(self) -> int:
-        return numerical_rank(np.linalg.svd(self.off_block, compute_uv=False))
+        return numerical_rank(self.ratio_sigma)
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,7 @@ def _ratio_svd(a: np.ndarray, b: np.ndarray):
 
 def _trig(sig: np.ndarray):
     """(cos, sin, 1 - cos) for ratio singular values sig."""
-    c = 1.0 / np.sqrt(1.0 + sig**2)
-    s = sig * c
+    c, s = cos_sin(sig, 1.0)
     return c, s, s * s / (1.0 + c)
 
 
@@ -144,33 +144,30 @@ def block_trig(a, b) -> BlockGivens:
         raise MatrixError(f"B must have {k} rows, got {b.shape}")
     sigma_a = np.linalg.svd(a, compute_uv=False)
     check_pivot(sigma_a)
-    return _rotation("right", a, b, b, k + b.shape[1], sigma_a)
+    return _rotation("right", a, b, k + b.shape[1], sigma_a)
 
 
-def _rotation(side: str, a: np.ndarray, off: np.ndarray, off_block: np.ndarray,
-              dim: int, sigma_a=None) -> BlockGivens:
+def _rotation(side: str, a: np.ndarray, off: np.ndarray, dim: int, sigma_a=None) -> BlockGivens:
     """Rotation of ``side`` and order ``dim`` from the thin SVD of
-    a^{-1} off, recording ``off_block`` as the block it annihilates. The
-    singularity test on a uses sigma_a, the spectrum of a when the caller
-    has it, and runs only when off is nonzero."""
+    a^{-1} off, keeping its angles and not off itself. The singularity
+    test on a uses sigma_a, the spectrum of a when the caller has it, and
+    runs only when off is nonzero."""
     k = a.shape[0]
     if not off.any():
         r = min(k, dim - k)
         return BlockGivens(side=side, k=k, dim=dim, u=np.zeros((k, r)),
-                           v=np.zeros((dim - k, r)), ratio_sigma=np.zeros(r),
-                           off_block=off_block.copy(), degenerate=True)
+                           v=np.zeros((dim - k, r)), ratio_sigma=np.zeros(r), degenerate=True)
     check_pivot(np.linalg.svd(a, compute_uv=False) if sigma_a is None else sigma_a)
     u, sig, v = _ratio_svd(a, off)
-    return BlockGivens(side=side, k=k, dim=dim, u=u, v=v, ratio_sigma=sig,
-                       off_block=off_block.copy(), degenerate=False)
+    return BlockGivens(side=side, k=k, dim=dim, u=u, v=v, ratio_sigma=sig, degenerate=False)
 
 
 def _build_rotation(p: BlockPartition, side: str, sigma_a=None) -> BlockGivens:
     """Rotation of ``side`` for p; sigma_a as in ``_rotation``."""
     if side == "right":
-        return _rotation(side, p.a, p.b, p.b, p.n, sigma_a)
+        return _rotation(side, p.a, p.b, p.n, sigma_a)
     # (C A^{-1})^T = A^{-T} C^T: the transposed pair (A^T, C^T).
-    return _rotation(side, p.a.T, p.c.T, p.c, p.m, sigma_a)
+    return _rotation(side, p.a.T, p.c.T, p.m, sigma_a)
 
 
 def build_right_rotation(p: BlockPartition) -> BlockGivens:
@@ -196,8 +193,7 @@ def householder_block(a: float, v) -> np.ndarray:
         raise MatrixError("v must be a vector")
     if not (np.isfinite(a) and np.isfinite(v).all()):
         raise MatrixError("householder_block needs finite a and v")
-    h = _rotation("right", np.array([[float(a)]]), v[None, :], v[None, :],
-                  v.size + 1).matrix.T
+    h = _rotation("right", np.array([[float(a)]]), v[None, :], v.size + 1).matrix.T
     if a < 0:
         h[0, :] = -h[0, :]
     return h
@@ -207,17 +203,13 @@ def rotation_weight(g: BlockGivens) -> float:
     """Weight omega of the rotation's block structure; 1.0 when degenerate.
 
     Closed form from the singular values of A^{-1}B (right) or C A^{-1}
-    (left): max of the smallest non-trivial cosine and the largest sine.
+    (left): max of the smallest non-trivial cosine and the largest sine,
+    both from ``cos_sin``, so the weight lies in (0, 1] for any ratio.
     """
-    if g.degenerate:
+    sig, r = g.ratio_sigma, g.off_rank
+    if r == 0:      # degenerate, or A^{-1}B underflowed to zero
         return 1.0
-    sig = g.ratio_sigma
-    r = g.off_rank
-    if r == 0:
-        return 1.0
-    s_r = sig[r - 1]
-    s_1 = sig[0]
-    return float(max(1.0 / np.sqrt(1.0 + s_r**2), s_1 / np.sqrt(1.0 + s_1**2)))
+    return float(max(cos_sin(sig[r - 1], 1.0)[0], cos_sin(sig[0], 1.0)[1]))
 
 
 def block_rotation_decompose(q, k: int) -> BlockRotationFactors:

@@ -1,10 +1,10 @@
 """Dense numerical substrate: input validation, block partitions and the
 rank-<=2k core of the zeroed-D matrix R0, the one singular-pivot rule
-``check_pivot``, norms (the one block norm ``operator_norm``, a certified
-upper bound for non-negative blocks, and the Schur test), the gap
-certificate, numerical rank, the moment ratio of a positive sequence, and
-the one check report, for the Lemma 11, (S1) and Ky Fan diagnostics, bound
-containment and the ``verify`` suites.
+``check_pivot``, the one angle rule ``cos_sin``, norms (the one block norm
+``operator_norm``, a certified upper bound for non-negative blocks, and the
+Schur test), the gap certificate, numerical rank, the moment ratio of a
+positive sequence, and the one check report, for the Lemma 11, (S1) and Ky
+Fan diagnostics, bound containment and the ``verify`` suites.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -334,6 +334,14 @@ def check_pivot(sigma) -> None:
     for a pivot block's descending spectrum ``sigma``: a ratio, unit-free."""
     if sigma[-1] <= SINGULARITY_TOL * sigma[0]:
         raise SingularBlockError(float(sigma[-1]))
+
+
+def cos_sin(opposite, adjacent):
+    """(cos, sin) of the angle of tangent opposite / adjacent, as (adjacent,
+    opposite) / h, h = hypot(opposite, adjacent) > 0: no square is formed,
+    so no tangent overflows. Every block-Givens angle comes from here."""
+    h = np.hypot(opposite, adjacent)
+    return adjacent / h, opposite / h
 
 
 def schur_test_bound(m) -> float:

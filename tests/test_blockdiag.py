@@ -131,6 +131,17 @@ class TestBlockDiagonalize:
         assert bd.check_lemma11(res.trace).all_passed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r", [[[1.0, 1e160], [1.0, 1.0], [0.5, 2.0]],
+                               [[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]]], ids=["B", "C"])
+def test_huge_ratio_sweeps_keep_the_spectrum(r):
+    # a ratio of 1e160, above sqrt(float max), in B or in C at k = 1
+    res = bd.block_diagonalize(mc.BlockPartition(np.array(r), 1))
+    assert res.converged
+    assert res.spectrum_deviation() <= 1e-12 * res.spectrum[0]
+    assert bd.check_lemma11(res.trace).all_passed
+
+
 class TestAppendState:
     def test_svd_only_for_spectra(self, monkeypatch):
         # sigma(A_t) and sigma([A_t; C_t]) are SVDs; every norm comes from

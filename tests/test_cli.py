@@ -114,6 +114,15 @@ class TestUnitInvariance:
         for e in (-600, -40, 40, 600):
             assert _verdicts(tmp_path, np.ldexp(r, e), k, 3) == want, e
 
+    @pytest.mark.parametrize("r", [[[1.0, 1e160], [1.0, 1.0], [0.5, 2.0]],
+                                   [[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]]], ids=["B", "C"])
+    def test_huge_ratio_commands_finish(self, tmp_path, r):
+        # A ratio of blocks does not change with the units of R, so a
+        # tangent of 1e160 stays one at any scale; no angle may square it.
+        bounds, blockdiag = _verdicts(tmp_path, np.array(r), 1, 1)
+        assert bounds == (0, True, None, [])
+        assert blockdiag[0] == 0 and all(blockdiag[3])
+
     def test_rotations_alike_at_every_scale(self):
         np.testing.assert_array_equal(gv.householder_block(1e-14, [1e-14]),
                                       gv.householder_block(1.0, [1.0]))

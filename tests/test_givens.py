@@ -276,3 +276,22 @@ def test_off_rank_counts_the_off_block():
         s_1 = g.ratio_sigma[0]
         assert gv.rotation_weight(g) == pytest.approx(
             max(1.0, s_1) / np.sqrt(1.0 + s_1**2), rel=1e-14)
+
+
+# A tangent of 1e160, far above sqrt(float max): in B (the right rotation's
+# ratio) and in C (the left one's). Squaring it overflows.
+HUGE_RATIO = [np.array([[1.0, 1e160], [1.0, 1.0], [0.5, 2.0]]),
+              np.array([[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]])]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r", HUGE_RATIO, ids=["B", "C"])
+def test_huge_ratio_rotations_annihilate(r):
+    p = mc.BlockPartition(r, 1)
+    norm_r = np.linalg.norm(r, 2)
+    gr, gl = gv.build_right_rotation(p), gv.build_left_rotation(p)
+    assert np.abs((r @ gr.matrix)[:1, 1:]).max() <= 1e-12 * norm_r
+    assert np.abs((gl.matrix @ r)[1:, :1]).max() <= 1e-12 * norm_r
+    for g in (gr, gl):
+        assert not g.degenerate
+        assert 0.0 < gv.rotation_weight(g) <= 1.0

@@ -221,6 +221,17 @@ class TestCheckReport:
         assert not rep.all_passed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tangent", [0.0, 1e-200, 1.0, 1e200])
+def test_cos_sin_needs_no_square(tangent):
+    # 1e200 squared overflows and 1e-200 squared underflows; hypot does neither
+    c, s = mc.cos_sin(tangent, 1.0)
+    assert np.isfinite(c) and np.isfinite(s) and c > 0.0 and s >= 0.0
+    assert abs(c * c + s * s - 1.0) <= 4 * np.finfo(float).eps
+    assert s == pytest.approx(tangent * c, rel=1e-15)
+    np.testing.assert_array_equal(mc.cos_sin(np.array([tangent]), 1.0), [[c], [s]])
+
+
 class TestSpectralInequalities:
     """Eigenvalue-shift and Weyl comparisons backing the bound modules."""
 
