@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix, check_pivot,
-                      cos_sin, numerical_rank, operator_norm, r0_core)
+from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix, cos_sin,
+                      numerical_rank, operator_norm, r0_core, ratio_svd)
 
 BOUND_TOL = 1e-10    # containment slack, relative to the scale of the values bounded
 
@@ -223,28 +223,28 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     The reports carry the min-form bound and the weaker closed-form bound
     for R0, the corrected bound for R, and, when the partition is square
     with n = m = 2k and invertible blocks, the symmetric two-term bound.
-    Raises SingularBlockError when A fails ``matcore.check_pivot``. Each
-    cosine and sine is a ``matcore.cos_sin`` angle, of tangent a ratio
-    singular value or a ratio of block norms, so no square overflows.
+    Raises SingularBlockError when A fails ``matcore.check_pivot``. The
+    spectra of A^{-1}B and A^{-T}C^T come from ``matcore.ratio_svd``, the
+    route the rotations take, values only, scaled so that no ratio
+    overflows. Each cosine and sine is a ``matcore.cos_sin`` angle, of
+    tangent a ratio singular value over its scale or a ratio of block
+    norms, so no square overflows.
     """
     p = _spectral(p)
     a, b, c, d = p.a, p.b, p.c, p.d
     sa = np.linalg.svd(a, compute_uv=False)
-    check_pivot(sa)
-    aib = np.linalg.solve(a, b)
-    cai = np.linalg.solve(a.T, c.T).T
+    sig_aib, adj_b = ratio_svd(a, b, sa)
+    sig_cai, adj_c = ratio_svd(a.T, c.T, sa)
     nb, nc, nd = float(p.sigma_b[0]), float(p.sigma_c[0]), p.norm_d
     rank_b, rank_c = numerical_rank(p.sigma_b), numerical_rank(p.sigma_c)
-    sig_aib = np.linalg.svd(aib, compute_uv=False)
-    sig_cai = np.linalg.svd(cai, compute_uv=False)
-    nu1 = cos_sin(float(sig_aib[rank_b - 1]), 1.0)[0] if rank_b else 1.0
-    nu2 = cos_sin(float(sig_cai[rank_c - 1]), 1.0)[0] if rank_c else 1.0
+    nu1 = cos_sin(float(sig_aib[rank_b - 1]), adj_b)[0] if rank_b else 1.0
+    nu2 = cos_sin(float(sig_cai[rank_c - 1]), adj_c)[0] if rank_c else 1.0
     dker_b = kernel_restricted_norm(d, b)
     dtker_ct = kernel_restricted_norm(d.T, c.T)
     rho1 = nu1 * nd + (1.0 - nu1) * dker_b
     rho2 = nu2 * nd + (1.0 - nu2) * dtker_ct
-    branch_c = cos_sin(float(sig_cai[0]), 1.0)[1] * nb
-    branch_b = cos_sin(float(sig_aib[0]), 1.0)[1] * nc
+    branch_c = cos_sin(float(sig_cai[0]), adj_c)[1] * nb
+    branch_b = cos_sin(float(sig_aib[0]), adj_b)[1] * nc
     r0_min = min(branch_c, branch_b)
     r0_closed = nb * (nc / np.hypot(sa[-1], max(nb, nc))) if max(nb, nc) > 0 else 0.0
     r_bound = min(branch_c + rho2, branch_b + rho1)

@@ -4,12 +4,14 @@ A right rotation built from the partition (A, B) annihilates the top-right
 block of R when applied on the right; the left counterpart, built from
 (A, C), annihilates the bottom-left block when applied on the left. Every
 trig block comes from one primitive, the thin SVD U diag(sigma) V^T of
-A^{-1}B (resp. A^{-T}C^T): cos = I - U diag(1 - c) U^T on the k-side,
+A^{-1}B (resp. A^{-T}C^T) scaled by adj, from ``matcore.ratio_svd``, the
+route Theorem 2 reads too: cos = I - U diag(1 - c) U^T on the k-side,
 I - V diag(1 - c) V^T on the other, sin = U diag(s) V^T, with
-(c, s) = matcore.cos_sin(sigma, 1), the angle of tangent sigma, formed
-without squaring sigma, and 1 - c = s^2 / (1 + c), which has no
-cancellation. The constructed rotation is orthogonal to machine precision
-regardless of the conditioning of A or the size of sigma.
+(c, s) = matcore.cos_sin(sigma, adj), the angle of tangent sigma / adj,
+formed without squaring, and 1 - c = s^2 / (1 + c), which has no
+cancellation. A ratio beyond float max is scaled down before it is formed,
+so any finite input gives a rotation, orthogonal to machine precision
+regardless of the conditioning of A or the size of the ratio.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .matcore import (BlockPartition, MatrixError, as_matrix, check_pivot, cos_sin,
-                      numerical_rank, operator_norm)
+                      numerical_rank, operator_norm, ratio_svd)
 
 ORTH_TOL = 1e-10         # block_rotation_decompose: ||Q^T Q - I|| per dimension
 TRIG_TOL = 1e-12         # block_rotation_decompose: sines above this are non-trivial
@@ -33,8 +35,10 @@ class BlockGivens:
     ``side`` is "right" (acts on columns, annihilates B) or "left" (acts on
     rows, annihilates C); ``dim`` is its order. ``u`` (k x r), ``v``
     ((dim-k) x r) and ``ratio_sigma`` are the thin SVD of A^{-1}B (right)
-    or A^{-T}C^T (left), r = min(k, dim - k); ``apply`` rotates through
-    them in O(r) work per entry. The rotation keeps these angles and no
+    or A^{-T}C^T (left) times ``adj`` (``matcore.ratio_svd``; 1.0 unless
+    the ratio passes float max), r = min(k, dim - k), and the angles'
+    tangents are ratio_sigma / adj; ``apply`` rotates through them in
+    O(r) work per entry. The rotation keeps these angles and no
     copy of the off-block it annihilates. ``degenerate`` marks an identity
     rotation (the off-block was already zero).
 
@@ -53,6 +57,7 @@ class BlockGivens:
     u: np.ndarray
     v: np.ndarray
     ratio_sigma: np.ndarray
+    adj: float
     degenerate: bool
 
     def apply(self, x: np.ndarray) -> None:
@@ -62,7 +67,7 @@ class BlockGivens:
         if self.side == "left":
             # G_L @ x = (x^T @ G_L^T)^T, and G_L^T has a right rotation's form.
             x = x.T
-        _, s, omc = _trig(self.ratio_sigma)
+        _, s, omc = _trig(self.ratio_sigma, self.adj)
         head, tail = x[:, : self.k], x[:, self.k :]
         hu, tv = head @ self.u, tail @ self.v
         head += (tv * s - hu * omc) @ self.u.T
@@ -70,17 +75,17 @@ class BlockGivens:
 
     @property
     def cos_ab(self) -> np.ndarray:
-        _, _, omc = _trig(self.ratio_sigma)
+        _, _, omc = _trig(self.ratio_sigma, self.adj)
         return np.eye(self.k) - (self.u * omc) @ self.u.T
 
     @property
     def cos_ba(self) -> np.ndarray:
-        _, _, omc = _trig(self.ratio_sigma)
+        _, _, omc = _trig(self.ratio_sigma, self.adj)
         return np.eye(self.dim - self.k) - (self.v * omc) @ self.v.T
 
     @property
     def sin_ab(self) -> np.ndarray:
-        _, s, _ = _trig(self.ratio_sigma)
+        _, s, _ = _trig(self.ratio_sigma, self.adj)
         return (self.u * s) @ self.v.T
 
     @cached_property
@@ -120,15 +125,9 @@ class BlockRotationFactors:
                 @ scipy.linalg.block_diag(self.q1p, self.q2p))
 
 
-def _ratio_svd(a: np.ndarray, b: np.ndarray):
-    """Thin SVD (u, sigma, v) of A^{-1} b: u @ diag(sigma) @ v.T."""
-    u, sig, vt = np.linalg.svd(np.linalg.solve(a, b), full_matrices=False)
-    return u, sig, vt.T
-
-
-def _trig(sig: np.ndarray):
-    """(cos, sin, 1 - cos) for ratio singular values sig."""
-    c, s = cos_sin(sig, 1.0)
+def _trig(sig: np.ndarray, adj: float):
+    """(cos, sin, 1 - cos) for ratio singular values sig, scaled by adj."""
+    c, s = cos_sin(sig, adj)
     return c, s, s * s / (1.0 + c)
 
 
@@ -148,18 +147,19 @@ def block_trig(a, b) -> BlockGivens:
 
 
 def _rotation(side: str, a: np.ndarray, off: np.ndarray, dim: int, sigma_a=None) -> BlockGivens:
-    """Rotation of ``side`` and order ``dim`` from the thin SVD of
-    a^{-1} off, keeping its angles and not off itself. The singularity
-    test on a uses sigma_a, the spectrum of a when the caller has it, and
-    runs only when off is nonzero."""
+    """Rotation of ``side`` and order ``dim`` from ``matcore.ratio_svd``'s
+    thin factors of a^{-1} off, keeping its angles and not off itself. The
+    singularity test there reads sigma_a, the spectrum of a when the caller
+    has it, and runs only when off is nonzero."""
     k = a.shape[0]
     if not off.any():
         r = min(k, dim - k)
-        return BlockGivens(side=side, k=k, dim=dim, u=np.zeros((k, r)),
-                           v=np.zeros((dim - k, r)), ratio_sigma=np.zeros(r), degenerate=True)
-    check_pivot(np.linalg.svd(a, compute_uv=False) if sigma_a is None else sigma_a)
-    u, sig, v = _ratio_svd(a, off)
-    return BlockGivens(side=side, k=k, dim=dim, u=u, v=v, ratio_sigma=sig, degenerate=False)
+        return BlockGivens(side=side, k=k, dim=dim, u=np.zeros((k, r)), v=np.zeros((dim - k, r)),
+                           ratio_sigma=np.zeros(r), adj=1.0, degenerate=True)
+    u, sig, v, adj = ratio_svd(a, off, np.linalg.svd(a, compute_uv=False)
+                               if sigma_a is None else sigma_a, factors=True)
+    return BlockGivens(side=side, k=k, dim=dim, u=u, v=v, ratio_sigma=sig, adj=adj,
+                       degenerate=False)
 
 
 def _build_rotation(p: BlockPartition, side: str, sigma_a=None) -> BlockGivens:
@@ -203,13 +203,14 @@ def rotation_weight(g: BlockGivens) -> float:
     """Weight omega of the rotation's block structure; 1.0 when degenerate.
 
     Closed form from the singular values of A^{-1}B (right) or C A^{-1}
-    (left): max of the smallest non-trivial cosine and the largest sine,
-    both from ``cos_sin``, so the weight lies in (0, 1] for any ratio.
+    (left), as ``matcore.ratio_svd`` gives them with their scale adj: max
+    of the smallest non-trivial cosine and the largest sine, both from
+    ``cos_sin``, so the weight lies in (0, 1] for any finite ratio.
     """
     sig, r = g.ratio_sigma, g.off_rank
     if r == 0:      # degenerate, or A^{-1}B underflowed to zero
         return 1.0
-    return float(max(cos_sin(sig[r - 1], 1.0)[0], cos_sin(sig[0], 1.0)[1]))
+    return float(max(cos_sin(sig[r - 1], g.adj)[0], cos_sin(sig[0], g.adj)[1]))
 
 
 def block_rotation_decompose(q, k: int) -> BlockRotationFactors:

@@ -1,10 +1,12 @@
 """Dense numerical substrate: input validation, block partitions and the
 rank-<=2k core of the zeroed-D matrix R0, the one singular-pivot rule
-``check_pivot``, the one angle rule ``cos_sin``, norms (the one block norm
-``operator_norm``, a certified upper bound for non-negative blocks, and the
-Schur test), the gap certificate, numerical rank, the moment ratio of a
-positive sequence, and the one check report, for the Lemma 11, (S1) and Ky
-Fan diagnostics, bound containment and the ``verify`` suites.
+``check_pivot``, the one angle rule ``cos_sin``, the one ratio rule
+``ratio_svd`` (the spectrum of A^{-1}B, overflow-free), norms (the one
+block norm ``operator_norm``, a certified upper bound for non-negative
+blocks, and the Schur test), the gap certificate, numerical rank, the
+moment ratio of a positive sequence, and the one check report, for the
+Lemma 11, (S1) and Ky Fan diagnostics, bound containment and the
+``verify`` suites.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -12,6 +14,7 @@ take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -342,6 +345,28 @@ def cos_sin(opposite, adjacent):
     so no tangent overflows. Every block-Givens angle comes from here."""
     h = np.hypot(opposite, adjacent)
     return adjacent / h, opposite / h
+
+
+def ratio_svd(a: np.ndarray, off: np.ndarray, sigma_a, factors: bool = False):
+    """The ratio a^{-1} off times adj: its singular values ``(sigma, adj)``,
+    or with ``factors`` its thin SVD ``(u, sigma, v, adj)``. ``sigma_a``,
+    a's descending spectrum, must pass ``check_pivot``. adj = 2^-e, e >= 0
+    the least for which frexp exponents put ||off||_F / sigma_min(a) * adj
+    below 2^900, so neither the solve nor the SVD can overflow; a ratio up
+    to 2^898 has e = 0. The angle of tangent sigma_j(a^{-1} off) is
+    ``cos_sin(sigma[j], adj)``. e stops at 1074, so adj > 0 and a zero
+    sigma_j keeps the angle 0."""
+    check_pivot(sigma_a)
+    s, e = float(np.abs(off).max()), 0
+    if s > 0.0:   # ||off||_F < 2^top and sigma_min(a) >= 2^(low - 1)
+        top = math.frexp(s)[1] + math.frexp(float(np.linalg.norm(off / s)))[1]
+        low = math.frexp(float(sigma_a[-1]))[1]
+        e = min(max(top - low + 1 - 900, 0), 1074)
+    x, adj = np.linalg.solve(a, np.ldexp(off, -e) if e else off), math.ldexp(1.0, -e)
+    if not factors:
+        return np.linalg.svd(x, compute_uv=False), adj
+    u, sig, vt = np.linalg.svd(x, full_matrices=False)
+    return u, sig, vt.T, adj
 
 
 def schur_test_bound(m) -> float:

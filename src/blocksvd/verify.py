@@ -69,9 +69,11 @@ def verify_matcore(seed: int, trials: int) -> mc.CheckReport:
 def verify_givens(seed: int, trials: int) -> mc.CheckReport:
     rep = mc.CheckReport()
     rng = rm.stream(seed, 1)
-    worst_orth = worst_ann = worst_weight = worst_asm = np.inf
+    scales = rm.stream(seed, 1, 1)   # its own stream, so it shifts none of rng's draws
+    worst_orth = worst_ann = worst_weight = worst_asm = worst_extreme = np.inf
     for _ in range(trials):
         p = _random_partition(rng)
+        worst_extreme = min(worst_extreme, _extreme_ratio_margin(p, scales))
         norm_r = mc.operator_norm(p.base)
         for build, off in ((gv.build_right_rotation, "b"), (gv.build_left_rotation, "c")):
             g = build(p)
@@ -95,7 +97,24 @@ def verify_givens(seed: int, trials: int) -> mc.CheckReport:
     rep.add("off_block_annihilation", worst_ann)
     rep.add("rotation_weight_in_unit_interval", worst_weight)
     rep.add("cs_decomposition_reassembles", worst_asm)
+    rep.add("extreme_ratio_rotations", worst_extreme)
     return rep
+
+
+def _extreme_ratio_margin(p: mc.BlockPartition, rng: np.random.Generator) -> float:
+    """With B and C of p scaled by 2^e, e drawn from [-600, 600] for each,
+    the least room of either rotation's residual block under 1e-10 times
+    its band (the top k rows for B, the left k columns for C); -1.0 when
+    an angle is not finite."""
+    k, r = p.k, p.base.copy()
+    eb, ec = rng.integers(-600, 601, size=2)
+    r[:k, k:], r[k:, :k] = np.ldexp(r[:k, k:], eb), np.ldexp(r[k:, :k], ec)
+    q = mc.BlockPartition(r, k)
+    gr, gl = gv.build_right_rotation(q), gv.build_left_rotation(q)
+    if not (np.isfinite(gr.ratio_sigma).all() and np.isfinite(gl.ratio_sigma).all()):
+        return -1.0
+    return 1e-10 - max(mc.operator_norm((r @ gr.matrix)[:k, k:]) / mc.operator_norm(r[:k]),
+                       mc.operator_norm((gl.matrix @ r)[k:, :k]) / mc.operator_norm(r[:, :k]))
 
 
 def verify_blockdiag(seed: int, trials: int) -> mc.CheckReport:

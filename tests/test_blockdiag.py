@@ -133,9 +133,13 @@ class TestBlockDiagonalize:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("r", [[[1.0, 1e160], [1.0, 1.0], [0.5, 2.0]],
-                               [[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]]], ids=["B", "C"])
+                               [[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]],
+                               [[1e-300, 1e300], [1.0, 1.0], [0.5, 2.0]],
+                               [[1e-300, 1.0], [1e300, 1.0], [0.5, 2.0]]],
+                         ids=["B", "C", "B-past-max", "C-past-max"])
 def test_huge_ratio_sweeps_keep_the_spectrum(r):
-    # a ratio of 1e160, above sqrt(float max), in B or in C at k = 1
+    # a ratio of 1e160, above sqrt(float max), in B or in C at k = 1; and
+    # one of 1e600, above float max
     res = bd.block_diagonalize(mc.BlockPartition(np.array(r), 1))
     assert res.converged
     assert res.spectrum_deviation() <= 1e-12 * res.spectrum[0]

@@ -395,6 +395,18 @@ def test_nan_bound_fails_containment(field):
     assert not bo.containment([rep], 1.0).all_passed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theorem2_ratio_beyond_float_max():
+    # A^{-1}B is 1e600, past float max; both branches must survive it, or
+    # min() keeps the other one, ||B|| = 1e300, against an oracle of 1.118
+    p = mc.BlockPartition(np.array([[1e-300, 1e300], [1.0, 1.0], [0.5, 2.0]]), 1)
+    reports = bo.theorem2_bounds(p)
+    assert all(np.isfinite([r.upper for r in reports]))
+    upper = {r.formula: r.upper for r in reports}
+    assert upper["Thm2-R0-min"] < 2.0 and upper["Thm2-R"] < 2.0
+    assert contained(p, *reports)
+
+
 def test_report_json_round():
     p = random_partition(6, 4, 2)
     rep = bo.mu_bounds(p, 2)

@@ -115,10 +115,15 @@ class TestUnitInvariance:
             assert _verdicts(tmp_path, np.ldexp(r, e), k, 3) == want, e
 
     @pytest.mark.parametrize("r", [[[1.0, 1e160], [1.0, 1.0], [0.5, 2.0]],
-                                   [[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]]], ids=["B", "C"])
+                                   [[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]],
+                                   [[1e-300, 1e300], [1.0, 1.0], [0.5, 2.0]],
+                                   [[1e-300, 1.0], [1e300, 1.0], [0.5, 2.0]]],
+                             ids=["B", "C", "B-past-max", "C-past-max"])
     def test_huge_ratio_commands_finish(self, tmp_path, r):
         # A ratio of blocks does not change with the units of R, so a
         # tangent of 1e160 stays one at any scale; no angle may square it.
+        # One of 1e600 is past float max: it must be scaled before it is
+        # formed, by the rotations and by Theorem 2 alike.
         bounds, blockdiag = _verdicts(tmp_path, np.array(r), 1, 1)
         assert bounds == (0, True, None, [])
         assert blockdiag[0] == 0 and all(blockdiag[3])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blocksvd import bounds as bo
 from blocksvd import givens as gv
 from blocksvd import matcore as mc
 
@@ -279,13 +280,16 @@ def test_off_rank_counts_the_off_block():
 
 
 # A tangent of 1e160, far above sqrt(float max): in B (the right rotation's
-# ratio) and in C (the left one's). Squaring it overflows.
+# ratio) and in C (the left one's). Squaring it overflows. One of 1e600,
+# above float max, overflows when the ratio itself is formed.
 HUGE_RATIO = [np.array([[1.0, 1e160], [1.0, 1.0], [0.5, 2.0]]),
-              np.array([[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]])]
+              np.array([[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]]),
+              np.array([[1e-300, 1e300], [1.0, 1.0], [0.5, 2.0]]),
+              np.array([[1e-300, 1.0], [1e300, 1.0], [0.5, 2.0]])]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("r", HUGE_RATIO, ids=["B", "C"])
+@pytest.mark.parametrize("r", HUGE_RATIO, ids=["B", "C", "B-past-max", "C-past-max"])
 def test_huge_ratio_rotations_annihilate(r):
     p = mc.BlockPartition(r, 1)
     norm_r = np.linalg.norm(r, 2)
@@ -295,3 +299,33 @@ def test_huge_ratio_rotations_annihilate(r):
     for g in (gr, gl):
         assert not g.degenerate
         assert 0.0 < gv.rotation_weight(g) <= 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_householder_beyond_float_max():
+    h = gv.householder_block(1e-300, [1e300])
+    np.testing.assert_allclose(h.T @ h, np.eye(2), atol=1e-15)
+    image = h @ np.array([1e-300, 1e300])
+    assert image[0] == pytest.approx(np.hypot(1e-300, 1e300), rel=1e-15)
+    assert abs(image[1]) <= 1e-15 * image[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_scales_give_finite_angles_and_bounds():
+    # The pivot, B and C each scaled by its own 2^e, e in [-600, 600], so
+    # ratios reach 2^+-1200; scaling a block keeps the pivot's conditioning,
+    # so none is refused.
+    rng = np.random.default_rng(2028)
+    for _ in range(400):
+        m = int(rng.integers(4, 12))
+        n = int(rng.integers(3, m + 1))
+        k = int(rng.integers(1, n))
+        r = random_partition(rng, m, n, k).base
+        for rows, cols in ((slice(None, k), slice(None, k)), (slice(None, k), slice(k, None)),
+                           (slice(k, None), slice(None, k))):
+            r[rows, cols] = np.ldexp(r[rows, cols], int(rng.integers(-600, 601)))
+        p = mc.BlockPartition(r, k)
+        for g in (gv.build_right_rotation(p), gv.build_left_rotation(p)):
+            c, s = mc.cos_sin(g.ratio_sigma, g.adj)
+            assert np.isfinite(c).all() and np.isfinite(s).all()
+        assert np.isfinite([rep.upper for rep in bo.theorem2_bounds(p)]).all()

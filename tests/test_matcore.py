@@ -232,6 +232,42 @@ def test_cos_sin_needs_no_square(tangent):
     np.testing.assert_array_equal(mc.cos_sin(np.array([tangent]), 1.0), [[c], [s]])
 
 
+class TestRatioSvd:
+    def test_finite_ratio_is_the_plain_solve(self):
+        rng = np.random.default_rng(28)
+        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 5))
+        sa = np.linalg.svd(a, compute_uv=False)
+        u, sig, v, adj = mc.ratio_svd(a, b, sa, factors=True)
+        want = np.linalg.svd(np.linalg.solve(a, b), full_matrices=False)
+        assert adj == 1.0
+        np.testing.assert_array_equal(u, want[0])
+        np.testing.assert_array_equal(sig, want[1])
+        np.testing.assert_array_equal(v, want[2].T)
+        values, adj = mc.ratio_svd(a, b, sa)
+        np.testing.assert_array_equal(
+            values, np.linalg.svd(np.linalg.solve(a, b), compute_uv=False))
+        assert adj == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e", [900, 1500, 2000])
+    def test_ratio_beyond_float_max_is_scaled(self, e):
+        # a = 2^-(e/2), off = 2^(e/2) [1 2]: the ratio is 2^e sqrt(5), kept
+        # as sigma / adj; past 2^1974, adj stops at the least double
+        a = np.ldexp(np.eye(1), -(e // 2))
+        off = np.ldexp(np.array([[1.0, 2.0]]), e - e // 2)
+        sig, adj = mc.ratio_svd(a, off, np.linalg.svd(a, compute_uv=False))
+        assert 0.0 < adj < 1.0 and np.isfinite(sig).all()
+        assert sig[0] < 2.0**900 or adj == 2.0**-1074
+        assert np.log2(sig[0]) - np.log2(adj) == pytest.approx(e + np.log2(5.0) / 2, abs=1e-12)
+        c, s = mc.cos_sin(sig, adj)
+        assert s[0] == pytest.approx(1.0) and 0.0 <= c[0] < 1e-200
+
+    def test_singular_pivot_refused(self):
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(mc.SingularBlockError):
+            mc.ratio_svd(a, np.ones((2, 1)), np.linalg.svd(a, compute_uv=False))
+
+
 class TestSpectralInequalities:
     """Eigenvalue-shift and Weyl comparisons backing the bound modules."""
 
