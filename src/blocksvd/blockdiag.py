@@ -4,11 +4,12 @@ certified extraction of top singular values."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import (BlockPartition, CheckReport, GapCertificate, MatrixError,
+from .matcore import (BlockPartition, CheckReport, GapCertificate, JsonReport, MatrixError,
                       SingularBlockError, as_matrix, cos_sin, operator_norm)
 from .givens import _build_rotation
 
@@ -19,7 +20,7 @@ KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins, relative to 
 
 
 @dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(JsonReport):
     """State of the iterate R_t after t rotations."""
 
     t: int
@@ -32,14 +33,6 @@ class SweepRecord:
     sigma_left_band: np.ndarray  # singular values of R_t[:, :k]
     norm_right_band: float       # ||R_t[:, k:]||
     degenerate: bool
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "norm_a": self.norm_a, "sigma_a": self.sigma_a.tolist(),
-                "sigma_k_a": self.sigma_k_a, "norm_b": self.norm_b,
-                "norm_c": self.norm_c, "norm_d": self.norm_d,
-                "sigma_left_band": self.sigma_left_band.tolist(),
-                "norm_right_band": self.norm_right_band,
-                "degenerate": self.degenerate}
 
 
 @dataclass
@@ -117,7 +110,9 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
 
     The first step eliminates C (left rotation). Stops when
     max(||B_t||, ||C_t||) <= tol * ||R||; raises SingularBlockError, with
-    the trace so far, when a rotation meets a singular A_t, and MatrixError
+    the trace so far, when a rotation meets a singular A_t (named in the
+    message once a rotation has changed it: the first left rotation gives
+    A_1 the spectrum of the left band [A; C]), and MatrixError
     unless tol is finite and >= 0 and max_iter >= 0. Each rotation acts on
     the iterate through its rank-r coupling, r <= k, never as a dense product.
     """
@@ -140,6 +135,10 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
             g = _build_rotation(cur, side, rec.sigma_a)
         except SingularBlockError as exc:
             exc.trace = trace
+            if any(not r.degenerate for r in trace.records[1:]):
+                # A_t is no longer the input's A: name the iterate that failed
+                exc.args = (f"pivot block A_{t} of the sweeps is numerically singular "
+                            f"(sigma_min={exc.sigma_min:.3e}, sigma_1={rec.sigma_a[0]:.3e})",)
             raise
         g.apply(cur.base)
         # Exact annihilation of the targeted block, not just small residual.
@@ -221,11 +220,15 @@ def kyfan_column_bounds(y, i: int) -> CheckReport:
     squared column norms (columns sorted by descending norm): ``head``,
     sum_{j<=i} sigma_j^2 - sum_{j<=i} ||y_j||^2, and ``tail``,
     sum_{j>i} ||y_j||^2 - sum_{j>i} sigma_j^2, each >= 0 by Ky Fan and
-    passing down to -KYFAN_TOL * ||y||_F^2."""
+    passing down to -KYFAN_TOL * ||y||_F^2. y is first divided by the power
+    of two that puts max|y| in [1, 2), exactly, so no square overflows or
+    underflows; the margins and the slack are in those units, and 2^e y has
+    the margins of y."""
     y = as_matrix(y)
     q = y.shape[1]
     if not (1 <= i <= q):
         raise MatrixError(f"need 1 <= i <= {q}, got {i}")
+    y = np.ldexp(y, 1 - math.frexp(float(np.abs(y).max()))[1])
     sig2 = np.linalg.svd(y, compute_uv=False) ** 2
     sig2 = np.concatenate([sig2, np.zeros(max(0, q - sig2.size))])
     col2 = np.sort((y**2).sum(axis=0))[::-1]

@@ -21,14 +21,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import (BlockPartition, CheckReport, MatrixError, as_matrix, cos_sin,
-                      numerical_rank, operator_norm, r0_core, ratio_svd)
+from .matcore import (BlockPartition, CheckReport, JsonReport, MatrixError, as_matrix,
+                      cos_sin, numerical_rank, operator_norm, r0_core, ratio_svd)
 
 BOUND_TOL = 1e-10    # containment slack, relative to the scale of the values bounded
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(JsonReport):
     """An interval [lower, upper] for value i of a k-split, and its oracle."""
 
     formula: str
@@ -44,9 +44,7 @@ class BoundReport:
         return float(np.minimum(self.oracle - self.lower, self.upper - self.oracle))
 
     def to_json(self) -> dict:
-        return {"formula": self.formula, "i": self.i, "k": self.k,
-                "lower": self.lower, "upper": self.upper,
-                "oracle": self.oracle, "slack": self.slack}
+        return {**super().to_json(), "slack": self.slack}
 
 
 def containment(reports, scale: float) -> CheckReport:

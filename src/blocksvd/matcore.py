@@ -4,9 +4,10 @@ rank-<=2k core of the zeroed-D matrix R0, the one singular-pivot rule
 ``ratio_svd`` (the spectrum of A^{-1}B, overflow-free), norms (the one
 block norm ``operator_norm``, a certified upper bound for non-negative
 blocks, and the Schur test), the gap certificate, numerical rank, the
-moment ratio of a positive sequence, and the one check report, for the
+moment ratio of a positive sequence, the one check report, for the
 Lemma 11, (S1) and Ky Fan diagnostics, bound containment and the
-``verify`` suites.
+``verify`` suites, and the one JSON rule, ``JsonReport``: a report's JSON
+is its dataclass fields.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -15,7 +16,7 @@ take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,20 +38,36 @@ class SingularBlockError(MatrixError):
         self.trace = trace
 
 
+class JsonReport:
+    """Base of the report dataclasses, and the one JSON rule: ``to_json``
+    is the fields by name, in declaration order. Arrays and numpy scalars
+    become Python values, lists go item by item, a nested report becomes
+    its own JSON, and a ``None`` field is left out."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(v) for f in fields(self)
+                if (v := getattr(self, f.name)) is not None}
+
+
+def _json_value(v):
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    if isinstance(v, list):
+        return [_json_value(x) for x in v]
+    return v.to_json() if isinstance(v, JsonReport) else v
+
+
 @dataclass(frozen=True)
-class CheckItem:
+class CheckItem(JsonReport):
     """One named check: whether it passed and its signed margin."""
 
     name: str
     passed: bool
     margin: float
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed), "margin": float(self.margin)}
-
 
 @dataclass
-class CheckReport:
+class CheckReport(JsonReport):
     """A list of named checks; passes when every one does."""
 
     checks: list[CheckItem] = field(default_factory=list)
@@ -65,8 +82,7 @@ class CheckReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {"all_passed": self.all_passed,
-                "checks": [c.to_json() for c in self.checks]}
+        return {"all_passed": self.all_passed, **super().to_json()}
 
 
 def as_matrix(m) -> np.ndarray:
@@ -174,7 +190,7 @@ def operator_norm(m) -> float:
 
 
 @dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(JsonReport):
     """The gap condition sigma_i(left) >= ||right||, its two sides and its verdict."""
 
     i: int
@@ -203,10 +219,6 @@ class GapCertificate:
         high = norm_right * (1.0 + _gamma(max(right.shape)))
         return cls(i=i, sigma_i_left=float(sigma_left[i - 1]), norm_right=norm_right,
                    certified=bool(norm_right == 0.0 or low >= high))
-
-    def to_json(self) -> dict:
-        return {"i": self.i, "sigma_i_left": self.sigma_i_left,
-                "norm_right": self.norm_right, "certified": bool(self.certified)}
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2

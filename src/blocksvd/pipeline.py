@@ -39,14 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (BlockPartition, GapCertificate, MatrixError, as_matrix,
+from .matcore import (BlockPartition, GapCertificate, JsonReport, MatrixError, as_matrix,
                       certified_norm, moment_ratio, r0_core)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
 
 
 @dataclass(frozen=True)
-class PartitionPlan:
+class PartitionPlan(JsonReport):
     """Row/column permutations plus the feasibility diagnosis.
 
     ``i_star`` is the largest rank i < k whose column norm clears the
@@ -70,14 +70,6 @@ class PartitionPlan:
         if self.transposed:
             r = r.T
         return r[np.ix_(self.row_permutation, self.column_permutation)]
-
-    def to_json(self) -> dict:
-        return {"column_permutation": self.column_permutation.tolist(),
-                "row_permutation": self.row_permutation.tolist(),
-                "k": self.k, "i_star": self.i_star, "threshold": self.threshold,
-                "xi_ratio": self.xi_ratio,
-                "xi_ratio_flagged": bool(self.xi_ratio_flagged),
-                "transposed": self.transposed}
 
 
 def _oriented(r) -> tuple[np.ndarray, bool]:
@@ -174,7 +166,7 @@ class PipelineError(MatrixError):
 
 
 @dataclass
-class ApproxReport:
+class ApproxReport(JsonReport):
     """Certified top singular values after dropping the bottom-right block.
 
     ``values`` are the top singular values of R0, from its rank-<=2k
@@ -204,17 +196,6 @@ class ApproxReport:
     certificate: GapCertificate
     oracle_values: np.ndarray | None = None
     oracle_deviations: np.ndarray | None = None
-
-    def to_json(self) -> dict:
-        out = {"rank": self.rank, "k": self.k, "values": self.values.tolist(),
-               "error_bound": self.error_bound, "norm_d": self.norm_d,
-               "norm_d_method": self.norm_d_method,
-               "norm_d_iterations": self.norm_d_iterations,
-               "certificate": self.certificate.to_json()}
-        if self.oracle_values is not None:
-            out["oracle_values"] = self.oracle_values.tolist()
-            out["oracle_deviations"] = self.oracle_deviations.tolist()
-        return out
 
     def oracle_margin(self) -> float:
         """error_bound + 1e-9 sigma_1(R) - max_j |sigma_j(R) - values_j|,

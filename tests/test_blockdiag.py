@@ -330,14 +330,18 @@ class TestKyFanColumnBounds:
         assert abs(got["head"]) <= 1e-12
         assert abs(got["tail"]) <= 1e-12
 
-    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**20], ids=["2^-20", "1", "2^20"])
-    def test_orthonormal_columns_pass_in_any_units(self, scale):
-        # head and tail are 0 in exact arithmetic; at 2^20 their rounding
-        # is about 1e-4, so the slack must scale with ||y||_F^2
+    @pytest.mark.parametrize("e", [-600, -520, -20, 0, 20, 520, 600],
+                             ids=["2^-600", "2^-520", "2^-20", "1", "2^20", "2^520", "2^600"])
+    def test_orthonormal_columns_pass_in_any_units(self, e):
+        # head and tail are 0 in exact arithmetic. Squared as given, 2^520 y
+        # overflowed to NaN margins and 2^-600 y underflowed to margins of
+        # exactly 0, which pass without testing anything; y is normalized
+        # by a power of two first, so 2^e y has the margins of y
         for _ in range(20):
             q = np.linalg.qr(RNG.standard_normal((8, 5)))[0]
-            rep = bd.kyfan_column_bounds(scale * q, 3)
+            rep = bd.kyfan_column_bounds(np.ldexp(q, e), 3)
             assert rep.all_passed, rep.to_json()
+            assert margins(rep) == margins(bd.kyfan_column_bounds(q, 3))
 
     def test_golden_spectrum_hand_case(self):
         y = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -76,6 +76,17 @@ class TestBlockdiagCommand:
         assert run(["blockdiag", path, "--k", 3]) == 2
         assert capsys.readouterr().err.startswith("error: pivot block is numerically singular")
 
+    def test_rotated_pivot_named(self, tmp_path, capsys):
+        # A = I passes check_pivot, but the first left rotation gives A_1
+        # the spectrum of [A; C], (1e20, 1), which the sweeps refuse
+        r = np.array([[1.0, 0.0, 1e19], [0.0, 1.0, 1e19], [1e20, 0.0, 1.0]])
+        path = tmp_path / "r.mtx"
+        mmio.write_matrix(path, r)
+        assert run(["blockdiag", path, "--k", 2]) == 2
+        assert capsys.readouterr().err == ("error: pivot block A_1 of the sweeps is numerically "
+                                           "singular (sigma_min=1.000e+00, sigma_1=1.000e+20)\n")
+        assert run(["bounds", path, "--k", 2, "--i", 1, "-o", tmp_path / "rep.json"]) == 0
+
 
 def _reject_non_finite(constant):
     raise AssertionError(f"non-finite JSON float {constant}")
@@ -192,6 +203,15 @@ class TestPlanCommand:
         assert sorted(plan["column_permutation"]) == list(range(40))
         split = r.T[np.ix_(plan["row_permutation"], plan["column_permutation"])]
         assert pl.algorithm2(split, k=10, i=4).to_json() == rep
+
+    def test_one_column_file(self, tmp_path):
+        # no right block to bound: the planner's one-column branch
+        path, out = tmp_path / "col.mtx", tmp_path / "plan.json"
+        mmio.write_matrix(path, np.arange(1.0, 6.0)[:, None])
+        assert run(["plan", path, "-o", out]) == 0
+        plan = json.loads(out.read_text())
+        assert (plan["k"], plan["i_star"], plan["threshold"]) == (1, 0, 0.0)
+        assert plan["row_permutation"] == [4, 3, 2, 1, 0]
 
 
 class TestApproxCommand:

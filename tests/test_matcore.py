@@ -167,6 +167,17 @@ class TestCertifiedNorm:
         assert 1 <= nb.iterations <= 10
         assert nb.value == np.linalg.norm(d, 2)
 
+    def test_underflowed_first_pair_takes_svd(self):
+        # Column 7 alone touches rows 20..29, at 1e-170: its entry of
+        # D^T D 1 is 10 * 1e-340, which underflows to 0 although the column
+        # is not zero, so the iteration gives up after one pair.
+        d = np.zeros((30, 8))
+        d[:20, :7] = np.random.default_rng(8).random((20, 7))
+        d[20:, 7] = 1e-170
+        nb = mc.certified_norm(d)
+        assert (nb.method, nb.iterations) == ("svd", 1)
+        assert nb.value == np.linalg.norm(d, 2)
+
     def test_small_block_skips_iteration(self):
         # one SVD of a 2 x 2 block costs less than one pair of products
         nb = mc.certified_norm(np.eye(2))
