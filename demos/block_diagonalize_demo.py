@@ -20,7 +20,7 @@ r = rng.standard_normal((m, n))
 r[:, :k] *= 10.0
 p = BlockPartition(r, k)
 
-res = block_diagonalize(p, tol=1e-12)
+res = block_diagonalize(p)
 print(f"converged: {res.converged} after {res.iterations} sweeps")
 print(f"{'t':>3} {'||B||':>12} {'||C||':>12} {'||D||':>12} {'sigma_k(A)':>12}")
 for rec in res.trace.records:

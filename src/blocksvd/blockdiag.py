@@ -13,8 +13,8 @@ from .matcore import (BlockPartition, CheckReport, GapCertificate, JsonReport, M
                       SingularBlockError, as_matrix, cos_sin, operator_norm)
 from .givens import _build_rotation
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 1000
+SWEEP_TOL = 1e-12       # stop once both off-blocks are below SWEEP_TOL * ||R||
+MAX_SWEEPS = 1000       # ... or after this many rotations, unconverged
 LEMMA11_TOL = 1e-9      # slack of every Lemma 11 check, relative to the bands' norms
 KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins, relative to ||y||_F^2
 
@@ -104,32 +104,27 @@ class BlockDiagResult:
         return float(np.abs(got[: self.spectrum.size] - self.spectrum).max())
 
 
-def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> BlockDiagResult:
+def block_diagonalize(p: BlockPartition) -> BlockDiagResult:
     """Alternate left/right rotations until both off-blocks are annihilated.
 
     The first step eliminates C (left rotation). Stops when
-    max(||B_t||, ||C_t||) <= tol * ||R||; raises SingularBlockError, with
-    the trace so far, when a rotation meets a singular A_t (named in the
-    message once a rotation has changed it: the first left rotation gives
-    A_1 the spectrum of the left band [A; C]), and MatrixError
-    unless tol is finite and >= 0 and max_iter >= 0. Each rotation acts on
-    the iterate through its rank-r coupling, r <= k, never as a dense product.
+    max(||B_t||, ||C_t||) <= SWEEP_TOL * ||R||, or unconverged after
+    MAX_SWEEPS rotations; raises SingularBlockError, with the trace so far,
+    when a rotation meets a singular A_t (named in the message once a
+    rotation has changed it: the first left rotation gives A_1 the spectrum
+    of the left band [A; C]). Each rotation acts on the iterate through its
+    rank-r coupling, r <= k, never as a dense product.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise MatrixError(f"need a finite tol >= 0, got tol={tol}")
-    if max_iter < 0:
-        raise MatrixError(f"need max_iter >= 0, got max_iter={max_iter}")
     k = p.k
     spectrum = np.linalg.svd(p.base, compute_uv=False)
-    scale = float(spectrum[0])    # ||R||_2
+    limit = SWEEP_TOL * float(spectrum[0])    # SWEEP_TOL * ||R||_2
     cur = BlockPartition(p.base.copy(), k)  # the iterate, rotated in place
     trace = SweepTrace(k=k, n=p.n)
     trace.append_state(0, cur)
     rec = trace.records[0]
-    converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
+    converged = rec.norm_b <= limit and rec.norm_c <= limit
     t = 0
-    while not converged and t < max_iter:
+    while not converged and t < MAX_SWEEPS:
         side = ("left", "right")[t % 2]
         try:
             g = _build_rotation(cur, side, rec.sigma_a)
@@ -149,7 +144,7 @@ def block_diagonalize(p: BlockPartition, tol: float = DEFAULT_TOL,
         t += 1
         trace.append_state(t, cur, degenerate=g.degenerate)
         rec = trace.records[-1]
-        converged = rec.norm_b <= tol * scale and rec.norm_c <= tol * scale
+        converged = rec.norm_b <= limit and rec.norm_c <= limit
     return BlockDiagResult(trace=trace, converged=converged, iterations=t,
                            final=cur.base, spectrum=spectrum)
 

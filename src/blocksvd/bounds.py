@@ -62,12 +62,12 @@ def containment(reports, scale: float) -> CheckReport:
 class SpectralPartition(BlockPartition):
     """A BlockPartition that keeps what the bound functions read, each
     computed on first use: thin SVD factors ``(u, s, vt)`` of R (m x n,
-    n x n) and of R0 (m x r, r x n, r <= 2k: the core's, ``r0_core``, mapped
-    through reduced QRs of C and B^T; no R0 is formed), whose ``s`` are
-    ``sigma_r`` and ``sigma_r0``; the spectra of B and C; and ||D||. Each
-    bound function takes one in place of a plain partition, so passing the
-    same one to several computes each once. It holds a read-only copy of
-    the matrix, so nothing can go stale."""
+    n x n), of R0 (m x r, r x n, r <= 2k: the core's, ``r0_core``, mapped
+    through reduced QRs of C and B^T; no R0 is formed), of B and of C, whose
+    ``s`` are ``sigma_r``, ``sigma_r0``, ``sigma_b`` and ``sigma_c``; and
+    ||D||. Each bound function takes one in place of a plain partition, so
+    passing the same one to several computes each once. It holds a
+    read-only copy of the matrix, so nothing can go stale."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -96,12 +96,20 @@ class SpectralPartition(BlockPartition):
         return self.svd_r0[1]
 
     @cached_property
-    def sigma_b(self) -> np.ndarray:
-        return np.linalg.svd(self.b, compute_uv=False)
+    def svd_b(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.b, full_matrices=False)
 
     @cached_property
+    def svd_c(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self.c, full_matrices=False)
+
+    @property
+    def sigma_b(self) -> np.ndarray:
+        return self.svd_b[1]
+
+    @property
     def sigma_c(self) -> np.ndarray:
-        return np.linalg.svd(self.c, compute_uv=False)
+        return self.svd_c[1]
 
     @cached_property
     def norm_d(self) -> float:
@@ -200,19 +208,23 @@ def example1_sigma2(c: float, s: float) -> float:
     return float(np.sqrt(h - np.sqrt(h * h - s**4)))
 
 
-def kernel_restricted_norm(d, kmat) -> float:
-    """||D restricted to ker K||, as ||D - (D V_r) V_r^T|| with V_r the thin
-    orthonormal row-space basis of K; zero when K has full column rank."""
-    d = as_matrix(d)
-    kmat = as_matrix(kmat)
-    if d.shape[1] != kmat.shape[1]:
-        raise MatrixError(f"columns of D ({d.shape[1]}) must match columns of K ({kmat.shape[1]})")
-    _, s, vt = np.linalg.svd(kmat, full_matrices=False)
+def _kernel_norm(d: np.ndarray, s: np.ndarray, vt: np.ndarray) -> float:
+    """``kernel_restricted_norm`` from the thin SVD values and rows of K."""
     rank = numerical_rank(s)
-    if rank >= kmat.shape[1]:
+    if rank >= vt.shape[1]:
         return 0.0
     vr = vt[:rank].T
     return operator_norm(d - (d @ vr) @ vr.T)
+
+
+def kernel_restricted_norm(d, kmat) -> float:
+    """||D restricted to ker K||, as ||D - (D V_r) V_r^T|| with V_r the thin
+    orthonormal row-space basis of K; zero when K has full column rank."""
+    d, kmat = as_matrix(d), as_matrix(kmat)
+    if d.shape[1] != kmat.shape[1]:
+        raise MatrixError(f"columns of D ({d.shape[1]}) must match columns of K ({kmat.shape[1]})")
+    _, s, vt = np.linalg.svd(kmat, full_matrices=False)
+    return _kernel_norm(d, s, vt)
 
 
 def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
@@ -237,10 +249,9 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     rank_b, rank_c = numerical_rank(p.sigma_b), numerical_rank(p.sigma_c)
     nu1 = cos_sin(float(sig_aib[rank_b - 1]), adj_b)[0] if rank_b else 1.0
     nu2 = cos_sin(float(sig_cai[rank_c - 1]), adj_c)[0] if rank_c else 1.0
-    dker_b = kernel_restricted_norm(d, b)
-    dtker_ct = kernel_restricted_norm(d.T, c.T)
-    rho1 = nu1 * nd + (1.0 - nu1) * dker_b
-    rho2 = nu2 * nd + (1.0 - nu2) * dtker_ct
+    # D on ker B and D^T on ker C^T, from the factors of B and C: C^T's rows are U_C^T
+    rho1 = nu1 * nd + (1.0 - nu1) * _kernel_norm(d, p.sigma_b, p.svd_b[2])
+    rho2 = nu2 * nd + (1.0 - nu2) * _kernel_norm(d.T, p.sigma_c, p.svd_c[0].T)
     branch_c = cos_sin(float(sig_cai[0]), adj_c)[1] * nb
     branch_b = cos_sin(float(sig_aib[0]), adj_b)[1] * nc
     r0_min = min(branch_c, branch_b)
@@ -253,10 +264,8 @@ def theorem2_bounds(p: BlockPartition) -> list[BoundReport]:
     ]
     k = p.k
     if p.m == p.n == 2 * k and rank_b == k and rank_c == k:
-        na = float(sa[0])
-        sk_a = float(sa[-1])
-        sk_b = float(p.sigma_b[-1])
-        sk_c = float(p.sigma_c[-1])
+        na, sk_a = float(sa[0]), float(sa[-1])
+        sk_b, sk_c = float(p.sigma_b[-1]), float(p.sigma_c[-1])
         term_b = nc * cos_sin(nb, sk_a)[1] + nd * cos_sin(sk_b, na)[0]
         term_c = nb * cos_sin(nc, sk_a)[1] + nd * cos_sin(sk_c, na)[0]
         reports.append(BoundReport("Cor5", k, k, 0.0, float(min(term_b, term_c)),

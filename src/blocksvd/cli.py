@@ -35,15 +35,9 @@ def _emit(report: dict, path: str | None):
 def _cmd_blockdiag(args) -> int:
     from . import blockdiag as bd
     from .mmio import read_matrix
-    p = BlockPartition(read_matrix(args.matrix), args.k)
-    # The options default to None, so that building the parser loads no
-    # blockdiag; its constants stay the one source of the defaults.
-    res = bd.block_diagonalize(
-        p, tol=bd.DEFAULT_TOL if args.tol is None else args.tol,
-        max_iter=bd.DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter)
+    res = bd.block_diagonalize(BlockPartition(read_matrix(args.matrix), args.k))
     lem = bd.check_lemma11(res.trace)
-    report = {"k": args.k, "converged": bool(res.converged),
-              "iterations": res.iterations,
+    report = {"k": args.k, "converged": bool(res.converged), "iterations": res.iterations,
               "trace": [r.to_json() for r in res.trace.records],
               "diagnostics": lem.to_json()}
     if args.oracle:
@@ -58,12 +52,9 @@ def _cmd_bounds(args) -> int:
     # One SpectralPartition for all four families: each spectrum once.
     p = bn.SpectralPartition(read_matrix(args.matrix), args.k)
     i = args.i if args.i is not None else args.k
-    reports = []
-    reports.extend(bn.weyl_gap_bounds(p, i))
-    reports.extend(bn.small_rank_bounds(p, i))
+    reports = bn.weyl_gap_bounds(p, i) + bn.small_rank_bounds(p, i)
     mu = bn.mu_bounds(p, i)
-    reports.append(mu)
-    reports.extend(bn.theorem2_bounds(p))
+    reports += [mu] + bn.theorem2_bounds(p)
     ok = bn.containment(reports, float(p.sigma_r[0])).all_passed
     _emit({"k": args.k, "i": i, "mu_bar": mu.upper,
            "reports": [r.to_json() for r in reports], "all_contain": ok},
@@ -74,7 +65,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_plan(args) -> int:
     from .mmio import read_matrix
     from .pipeline import plan_partition
-    plan = plan_partition(read_matrix(args.matrix), k=args.k, alpha=args.alpha)
+    plan = plan_partition(read_matrix(args.matrix), k=args.k)
     _emit(plan.to_json(), args.output)
     return 0
 
@@ -115,15 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle_help = "compare against a dense SVD"
     p = matrix_command("blockdiag", "iterate block rotations to a diagonal")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--oracle", action="store_true", help=oracle_help)
     p = matrix_command("bounds", "singular value perturbation bounds")
     p.add_argument("--i", type=int, default=None, help="value index (default k)")
-    p = matrix_command("plan", "permute and split a non-negative matrix "
-                       "(a wide one through its transpose)",
-                       k_required=False, k_help="fixed split (default: scan)")
-    p.add_argument("--alpha", type=float, default=1.0, help="size shape parameter")
+    matrix_command("plan", "permute and split a non-negative matrix "
+                   "(a wide one through its transpose)",
+                   k_required=False, k_help="fixed split (default: scan)")
     p = matrix_command("approx", "certified top singular values")
     p.add_argument("--i", type=int, required=True, help="number of values")
     p.add_argument("--oracle", action="store_true", help=oracle_help)

@@ -35,6 +35,7 @@ sigma(core[:, :k]) and ||B|| = ||R_B||, both of side at most k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ from .matcore import (BlockPartition, GapCertificate, JsonReport, MatrixError, a
                       certified_norm, moment_ratio, r0_core)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
+THRESHOLD_FACTOR = math.sqrt(1.0 + math.sqrt(2.0))  # sqrt(1 + sqrt(1 + 1/alpha)), alpha = 1
+PLAN_EXP = 480              # inside 2^+-480 the planner's squares stay in float's normal range
 
 
 @dataclass(frozen=True)
@@ -104,24 +107,30 @@ def _right_max_row_sums(r: np.ndarray, col_perm: np.ndarray, splits: list[int]) 
     return sums.max(axis=0)
 
 
-def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan:
+def plan_partition(r, k: int | None = None) -> PartitionPlan:
     """Permute a non-negative matrix for block approximation.
 
     Columns are sorted by descending norm and rows by descending size (sum).
     With ``k`` given, reports the feasibility index at that split; otherwise
     scans a logarithmic grid of splits and keeps the one maximizing the
     feasibility index (ties broken toward the smallest split). At split k,
-    the threshold is sqrt(1 + sqrt(1 + 1/alpha)) times the square root of
-    column k's size and the largest row size of columns k and up, and the
-    index is the largest i < k whose column norm clears it. Every figure is
-    read through the permutations; the permuted matrix is never built. A
-    wide matrix is planned through its transpose, so ``k`` splits R^T.
+    the threshold is THRESHOLD_FACTOR times the square root of column k's
+    size and the largest row size of columns k and up, and the index is the
+    largest i < k whose column norm clears it. Every figure is read through
+    the permutations; the permuted matrix is never built. A wide matrix is
+    planned through its transpose, so ``k`` splits R^T.
+
+    An R whose largest entry is 2^e f (0.5 <= f < 1), |e| > PLAN_EXP, is
+    planned as 2^-e R, exactly, and ``threshold`` scaled back, so that no
+    column norm or threshold overflows or underflows as it squares.
     """
     r, transposed = _oriented(r)
     if r.min() < 0.0:
         raise MatrixError("planner requires a non-negative matrix")
-    if not alpha > 0:   # also refuses NaN
-        raise MatrixError("shape parameter alpha must be positive")
+    e = math.frexp(float(r.max()))[1]
+    e = e if abs(e) > PLAN_EXP else 0
+    if e:               # else plan R itself, with no copy
+        r = np.ldexp(r, -e)
     m, n = r.shape
     col_norms = np.linalg.norm(r, axis=0)
     col_perm = np.argsort(-col_norms, kind="stable")
@@ -130,13 +139,12 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
         raise MatrixError(f"need 1 <= k < n, got k={k}, n={n}")
     splits = [k] if k is not None else _candidate_splits(n)
     norms, sizes = col_norms[col_perm], r.sum(axis=0)[col_perm]
-    factor = np.sqrt(1.0 + np.sqrt(1.0 + 1.0 / alpha))
     if n == 1:          # no right block to bound
         best_k, best_i, best_thr = 1, 0, 0.0
     else:
         best_k, best_i, best_thr = None, -1, 0.0
         for cand, max_row in zip(splits, _right_max_row_sums(r, col_perm, splits)):
-            thr = float(factor * np.sqrt(sizes[cand] * max_row))
+            thr = float(THRESHOLD_FACTOR * np.sqrt(sizes[cand] * max_row))
             clear = np.flatnonzero(norms[: cand - 1] >= thr)
             i_star = int(clear[-1]) + 1 if clear.size else 0
             if i_star > best_i:
@@ -145,13 +153,11 @@ def plan_partition(r, k: int | None = None, alpha: float = 1.0) -> PartitionPlan
     norms_left, sizes_left = norms[:best_k], sizes[:best_k]
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = np.where(norms_left > 0, sizes_left / norms_left**2, 0.0)
-    if np.all(xi > 0):
-        xi_ratio = moment_ratio(xi)
-    else:
-        xi_ratio = float("inf")
-    cap = 1.0 + m / (max(float(sizes_left.max()), 1e-300) * best_k)
+    xi_ratio = moment_ratio(xi) if np.all(xi > 0) else float("inf")
+    c_max = float(np.ldexp(sizes_left.max(), e))     # in the units of R
+    cap = 1.0 + m / (max(c_max, 1e-300) * best_k)
     return PartitionPlan(column_permutation=col_perm, row_permutation=row_perm,
-                         k=best_k, i_star=best_i, threshold=best_thr,
+                         k=best_k, i_star=best_i, threshold=float(np.ldexp(best_thr, e)),
                          xi_ratio=xi_ratio, xi_ratio_flagged=bool(xi_ratio > cap),
                          transposed=transposed)
 

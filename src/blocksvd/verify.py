@@ -136,7 +136,7 @@ def verify_blockdiag(seed: int, trials: int) -> mc.CheckReport:
         res = bd.block_diagonalize(p)
         norm_r = float(res.spectrum[0])
         last = res.trace.records[-1]
-        worst_conv = min(worst_conv, 1e-12 * norm_r - max(last.norm_b, last.norm_c))
+        worst_conv = min(worst_conv, bd.SWEEP_TOL * norm_r - max(last.norm_b, last.norm_c))
         worst_spec = min(worst_spec, 1e-9 * norm_r - res.spectrum_deviation())
         failing_kyfan += not bd.kyfan_column_bounds(r, min(k, n)).all_passed
         # contraction diagnostics are checked on square splits one short of
@@ -239,7 +239,7 @@ def verify_gamma(seed: int, trials: int) -> mc.CheckReport:
 
 def verify_pipeline(seed: int, trials: int) -> mc.CheckReport:
     rep = mc.CheckReport()
-    # Hand case at k = 1, alpha = 1: the column norms 3, sqrt 5, sqrt 2 keep
+    # Hand case at k = 1: the column norms 3, sqrt 5, sqrt 2 keep
     # the columns in order; column 1 has size 1 + 2 = 3 and the largest row
     # sum of columns 1 and 2 is 2 + 1 = 3, so the threshold is
     # sqrt(1 + sqrt 2) * sqrt(3 * 3).

@@ -270,6 +270,39 @@ class TestR0FromCore:
                         (i, got.formula, field)
 
 
+class TestBlockFactorsOnce:
+    """SpectralPartition factors B and C once: their spectra and the kernel
+    norms of Theorem 2 read the same thin factors."""
+
+    def test_each_block_factored_once(self, monkeypatch):
+        # m - k, n - k and k all differ, so each block has its own shape;
+        # only SVDs of R's own blocks are counted, not of A^{-1}B or cores
+        p = bo.SpectralPartition(RNG.standard_normal((12, 8)) + 4.0 * np.eye(12, 8), 3)
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if np.shares_memory(a, p.base):
+                shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for family in (bo.weyl_gap_bounds, bo.small_rank_bounds, bo.mu_bounds):
+            family(p, 3)
+        bo.theorem2_bounds(p)
+        monkeypatch.undo()
+        assert sorted(shapes) == sorted([(12, 8), (3, 3), p.b.shape, p.c.shape])
+
+    def test_kernel_norms_match_the_public_function(self):
+        p = bo.SpectralPartition(RNG.standard_normal((12, 8)), 3)
+        scale = mc.operator_norm(p.d)
+        got_b = bo._kernel_norm(p.d, p.sigma_b, p.svd_b[2])
+        got_c = bo._kernel_norm(p.d.T, p.sigma_c, p.svd_c[0].T)
+        assert got_b > 0 and got_c > 0
+        assert abs(got_b - bo.kernel_restricted_norm(p.d, p.b)) <= 1e-13 * scale
+        assert abs(got_c - bo.kernel_restricted_norm(p.d.T, p.c.T)) <= 1e-13 * scale
+
+
 class TestKernelRestrictedNorm:
     def test_full_rank_zero(self):
         k = RNG.standard_normal((4, 3))

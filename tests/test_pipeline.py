@@ -28,13 +28,13 @@ def planted_low_rank(m, n, k, d_frac, rng):
     return r
 
 
-def dense_feasibility(r: np.ndarray, k: int, alpha: float) -> tuple[int, float]:
+def dense_feasibility(r: np.ndarray, k: int) -> tuple[int, float]:
     """(i_star, threshold) at split k of an already-permuted matrix, from its
     dense blocks: the planner's figures before it read them through the
     permutations, kept as the reference."""
     n = r.shape[1]
     col_norms = np.linalg.norm(r, axis=0)
-    factor = np.sqrt(1.0 + np.sqrt(1.0 + 1.0 / alpha))
+    factor = np.sqrt(1.0 + np.sqrt(2.0))
     if k >= n:
         return k - 1, 0.0
     right = r[:, k:]
@@ -49,11 +49,11 @@ def dense_feasibility(r: np.ndarray, k: int, alpha: float) -> tuple[int, float]:
     return i_star, float(threshold)
 
 
-def dense_scan(pr: np.ndarray, alpha: float = 1.0) -> tuple[int, int, float]:
+def dense_scan(pr: np.ndarray) -> tuple[int, int, float]:
     """(k, i_star, threshold) of the split scan on the permuted copy."""
     best = (None, -1, 0.0)
     for k in pl._candidate_splits(pr.shape[1]):
-        i_star, thr = dense_feasibility(pr, k, alpha)
+        i_star, thr = dense_feasibility(pr, k)
         if i_star > best[1]:
             best = (k, i_star, thr)
     return best
@@ -82,14 +82,42 @@ class TestPlanPartition:
         assert again.i_star == plan.i_star
 
     def test_threshold_factor_hand_case(self):
-        # alpha = 1 with row sizes at one percent of the reference column
-        # size: threshold = sqrt(1 + sqrt(2)) * sqrt(s * s/100)
-        #                 = 0.1554 * s to four digits
-        factor = np.sqrt(1.0 + np.sqrt(2.0))
+        # sqrt(1 + sqrt(1 + 1/alpha)) at alpha = 1, with row sizes at one
+        # percent of the reference column size:
+        # threshold = sqrt(1 + sqrt(2)) * sqrt(s * s/100) = 0.1554 * s to four digits
+        factor = pl.THRESHOLD_FACTOR
+        assert factor == np.sqrt(1.0 + np.sqrt(2.0))
         s = 100.0
         threshold = factor * np.sqrt(s * (s / 100.0))
         assert threshold / s == pytest.approx(0.1554, abs=5e-5)
         assert factor / 10.0 == pytest.approx(0.15538, abs=1e-5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e", [-1000, -600, 511, 600, 1000])
+    @pytest.mark.parametrize("k", [None, 20], ids=["scan", "k20"])
+    def test_same_plan_at_any_power_of_two(self, e, k):
+        # at 2^511 and past, the squared column norms overflowed; at 2^-600
+        # they underflowed, and either way the column order changed
+        r = synthetic_sparse(200, 80, np.random.default_rng(41))
+        want = pl.plan_partition(r, k=k)
+        got = pl.plan_partition(np.ldexp(r, e), k=k)
+        for name in ("column_permutation", "row_permutation"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got.k, got.i_star, got.xi_ratio) == (want.k, want.i_star, want.xi_ratio)
+        assert got.threshold == np.ldexp(want.threshold, e)
+
+    def test_no_copy_at_ordinary_scale(self, monkeypatch):
+        r = synthetic_sparse(200, 80, np.random.default_rng(41))
+        real_ldexp, scaled = np.ldexp, []
+
+        def ldexp(x, *args, **kwargs):
+            scaled.append(np.ndim(x))
+            return real_ldexp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ldexp", ldexp)
+        pl.plan_partition(r)
+        monkeypatch.undo()
+        assert 2 not in scaled
 
     def test_full_split_trivial_threshold(self):
         r = np.abs(np.diag([5.0, 3.0, 1.0]))
@@ -104,7 +132,7 @@ class TestPlanPartition:
         pr = pl.plan_partition(r, k=plan.k).apply(r)
         best = -1
         for k in pl._candidate_splits(60):
-            i_star, _ = dense_feasibility(pr, k, 1.0)
+            i_star, _ = dense_feasibility(pr, k)
             best = max(best, i_star)
         assert plan.i_star == best
 
@@ -315,7 +343,7 @@ class TestPlannerMatchesDenseReference:
         assert (scan.k, scan.i_star, scan.threshold) == dense_scan(scan.apply(r))
         k = int(rng.integers(1, n))
         plan = pl.plan_partition(r, k=k)
-        assert (plan.i_star, plan.threshold) == dense_feasibility(plan.apply(r), k, 1.0)
+        assert (plan.i_star, plan.threshold) == dense_feasibility(plan.apply(r), k)
 
 
 class TestCertifiedNormD:
