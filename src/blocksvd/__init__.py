@@ -31,14 +31,14 @@ _EXPORTS = {
                "householder_block", "rotation_weight"),
     "matcore": ("BlockPartition", "CheckItem", "CheckReport", "GapCertificate",
                 "MatrixError", "NormBound", "SingularBlockError", "as_matrix", "certified_norm",
-                "check_pivot", "cos_sin", "moment_ratio", "operator_norm", "schur_test_bound"),
+                "check_pivot", "cos_sin", "operator_norm", "schur_test_bound"),
     "mmio": ("MatrixMarketError", "read_matrix", "write_matrix"),
     "pipeline": ("ApproxReport", "PartitionPlan", "PipelineError", "algorithm2",
                  "approximate", "plan_partition"),
     "randmat": ("ColumnProfile", "GammaSpec", "RandomColumnModel", "check_S1",
                 "corollary10_bounds", "density", "empirical_gram", "expected_gram",
                 "fluctuation_bounds", "gamma_rho_prediction", "lemma13_stats",
-                "sample_column_binary", "sample_column_fixed_size",
+                "moment_ratio", "sample_column_binary", "sample_column_fixed_size",
                 "sample_column_fixed_size_norm", "sample_sizes_truncated_gamma",
                 "stream", "theorem3_bounds"),
     "verify": ("VerifyReport", "run_suite"),

@@ -4,10 +4,9 @@ rank-<=2k core of the zeroed-D matrix R0, the one singular-pivot rule
 ``ratio_svd`` (the spectrum of A^{-1}B, overflow-free), norms (the one
 block norm ``operator_norm``, a certified upper bound for non-negative
 blocks, and the Schur test), the gap certificate, numerical rank, the
-moment ratio of a positive sequence, the one check report, for the
-Lemma 11, (S1) and Ky Fan diagnostics, bound containment and the
-``verify`` suites, and the one JSON rule, ``JsonReport``: a report's JSON
-is its dataclass fields.
+one check report, for the Lemma 11, (S1) and Ky Fan diagnostics, bound
+containment and the ``verify`` suites, and the one JSON rule,
+``JsonReport``: a report's JSON is its dataclass fields.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -276,37 +275,40 @@ def collatz_wielandt_bound(d: np.ndarray, max_pairs: float) -> tuple[float | Non
     m, n = d.shape
     x = np.ones(n)
     support, prev, pairs = slice(None), None, 0
-    while pairs + 1 <= max_pairs:
-        y = d.T @ (d @ x)
-        pairs += 1
-        if pairs == 1 and not (y > 0).all():
-            # From x = 1, y_i = 0 exactly when column i is zero, unless it
-            # underflowed; the zero columns stay zero in every later y.
-            nonzero = d.any(axis=0)
-            if not np.array_equal(y > 0, nonzero):
+    # A product that overflows (or meets inf * 0) is the give-up signal
+    # below, caught by the range and finiteness tests, not a fault.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pairs + 1 <= max_pairs:
+            y = d.T @ (d @ x)
+            pairs += 1
+            if pairs == 1 and not (y > 0).all():
+                # From x = 1, y_i = 0 exactly when column i is zero, unless it
+                # underflowed; the zero columns stay zero in every later y.
+                nonzero = d.any(axis=0)
+                if not np.array_equal(y > 0, nonzero):
+                    return None, pairs
+                if not nonzero.any():
+                    return 0.0, pairs
+                support = np.flatnonzero(nonzero)
+            ys, xs = y[support], x[support]
+            if not ys.min() >= _SAFE_MIN:
                 return None, pairs
-            if not nonzero.any():
-                return 0.0, pairs
-            support = np.flatnonzero(nonzero)
-        ys, xs = y[support], x[support]
-        if not ys.min() >= _SAFE_MIN:
-            return None, pairs
-        ub = float(np.max(ys / xs))
-        rq = float(xs @ ys) / float(xs @ xs)
-        if not np.isfinite(ub) or not np.isfinite(rq):
-            return None, pairs
-        gap = (ub - rq) / ub
-        if gap <= CW_TOL:
-            # (Mx)_i <= fl(y_i) / (1 - gamma_{m+n}); the division, the
-            # square root and the final product add three roundings.
-            return float(np.sqrt(ub) * (1.0 + _gamma(m + n + 4))), pairs
-        if prev is not None:
-            if gap >= prev:
+            ub = float(np.max(ys / xs))
+            rq = float(xs @ ys) / float(xs @ xs)
+            if not np.isfinite(ub) or not np.isfinite(rq):
                 return None, pairs
-            if pairs + np.log(CW_TOL / gap) / np.log(gap / prev) > max_pairs:
-                return None, pairs
-        prev = gap
-        x = y / ys.max()
+            gap = (ub - rq) / ub
+            if gap <= CW_TOL:
+                # (Mx)_i <= fl(y_i) / (1 - gamma_{m+n}); the division, the
+                # square root and the final product add three roundings.
+                return float(np.sqrt(ub) * (1.0 + _gamma(m + n + 4))), pairs
+            if prev is not None:
+                if gap >= prev:
+                    return None, pairs
+                if pairs + np.log(CW_TOL / gap) / np.log(gap / prev) > max_pairs:
+                    return None, pairs
+            prev = gap
+            x = y / ys.max()
     return None, pairs
 
 
@@ -326,14 +328,6 @@ def certified_norm(m) -> NormBound:
         if bound is not None:
             return NormBound(bound, "collatz-wielandt", pairs)
     return NormBound(float(np.linalg.norm(a, 2)) if a.size else 0.0, "svd", pairs)
-
-
-def moment_ratio(values) -> float:
-    """Root-mean-square over mean of a positive sequence; always >= 1."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0 or np.any(v <= 0):
-        raise MatrixError("moment_ratio needs a non-empty positive sequence")
-    return float(np.sqrt(np.mean(v**2)) / np.mean(v))
 
 
 def numerical_rank(sigma) -> int:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (BlockPartition, GapCertificate, JsonReport, MatrixError, as_matrix,
-                      certified_norm, moment_ratio, r0_core)
+                      certified_norm, r0_core)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
 THRESHOLD_FACTOR = math.sqrt(1.0 + math.sqrt(2.0))  # sqrt(1 + sqrt(1 + 1/alpha)), alpha = 1
@@ -53,10 +53,8 @@ class PartitionPlan(JsonReport):
     """Row/column permutations plus the feasibility diagnosis.
 
     ``i_star`` is the largest rank i < k whose column norm clears the
-    size-based threshold; ``xi_ratio`` is the moment ratio of the leading
-    columns' size-to-squared-norm sequence, flagged when it exceeds the
-    homogeneity cap 1 + m / (c_max * k). ``transposed`` says the plan
-    permutes and splits R^T, as it does for a wide R (see ``_oriented``).
+    size-based threshold. ``transposed`` says the plan permutes and splits
+    R^T, as it does for a wide R (see ``_oriented``).
     """
 
     column_permutation: np.ndarray
@@ -64,8 +62,6 @@ class PartitionPlan(JsonReport):
     k: int
     i_star: int
     threshold: float
-    xi_ratio: float
-    xi_ratio_flagged: bool
     transposed: bool
 
     def apply(self, r) -> np.ndarray:
@@ -122,7 +118,9 @@ def plan_partition(r, k: int | None = None) -> PartitionPlan:
 
     An R whose largest entry is 2^e f (0.5 <= f < 1), |e| > PLAN_EXP, is
     planned as 2^-e R, exactly, and ``threshold`` scaled back, so that no
-    column norm or threshold overflows or underflows as it squares.
+    column norm or threshold overflows or underflows as it squares. No
+    other figure depends on the units: the plan of 2^e R is the plan of R
+    with ``threshold`` times 2^e.
     """
     r, transposed = _oriented(r)
     if r.min() < 0.0:
@@ -131,7 +129,7 @@ def plan_partition(r, k: int | None = None) -> PartitionPlan:
     e = e if abs(e) > PLAN_EXP else 0
     if e:               # else plan R itself, with no copy
         r = np.ldexp(r, -e)
-    m, n = r.shape
+    n = r.shape[1]
     col_norms = np.linalg.norm(r, axis=0)
     col_perm = np.argsort(-col_norms, kind="stable")
     row_perm = np.argsort(-r.sum(axis=1), kind="stable")
@@ -149,16 +147,8 @@ def plan_partition(r, k: int | None = None) -> PartitionPlan:
             i_star = int(clear[-1]) + 1 if clear.size else 0
             if i_star > best_i:
                 best_k, best_i, best_thr = cand, i_star, thr
-
-    norms_left, sizes_left = norms[:best_k], sizes[:best_k]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.where(norms_left > 0, sizes_left / norms_left**2, 0.0)
-    xi_ratio = moment_ratio(xi) if np.all(xi > 0) else float("inf")
-    c_max = float(np.ldexp(sizes_left.max(), e))     # in the units of R
-    cap = 1.0 + m / (max(c_max, 1e-300) * best_k)
     return PartitionPlan(column_permutation=col_perm, row_permutation=row_perm,
                          k=best_k, i_star=best_i, threshold=float(np.ldexp(best_thr, e)),
-                         xi_ratio=xi_ratio, xi_ratio_flagged=bool(xi_ratio > cap),
                          transposed=transposed)
 
 

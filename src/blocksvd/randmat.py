@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, containment
-# moment_ratio lives in matcore, so the planner does not load this module;
-# it stays importable from here.
-from .matcore import CheckReport, MatrixError, moment_ratio
+from .matcore import CheckReport, MatrixError
 
 DEFAULT_SLACK_C = 4.0    # multiplier on the L/m slack terms
 MAX_DRAWS = 10**4        # rejection draws per column before SamplerStarvation
@@ -118,6 +116,14 @@ class ColumnProfile:
 def density(profile: ColumnProfile) -> float:
     """Average entry mass: sum of sizes over m*k."""
     return float(profile.sizes.sum() / (profile.m * profile.k))
+
+
+def moment_ratio(values) -> float:
+    """Root-mean-square over mean of a positive sequence; always >= 1."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0 or np.any(v <= 0):
+        raise MatrixError("moment_ratio needs a non-empty positive sequence")
+    return float(np.sqrt(np.mean(v**2)) / np.mean(v))
 
 
 def check_S1(profile: ColumnProfile) -> CheckReport:

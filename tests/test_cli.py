@@ -102,6 +102,17 @@ def _reject_non_finite(constant):
     raise AssertionError(f"non-finite JSON float {constant}")
 
 
+def planted(seed: int, k: int = 20) -> np.ndarray:
+    """200 x 100, planted like the benchmark's analyze files: 30% density,
+    |N(0, 1)| values, the k pivot columns scaled by 10, a nonzero pivot
+    diagonal."""
+    rng = np.random.default_rng(seed)
+    r = np.abs(rng.standard_normal((200, 100))) * (rng.random((200, 100)) < 0.3)
+    r[:, :k] *= 10.0
+    r[np.arange(k), np.arange(k)] += np.abs(rng.standard_normal(k))
+    return r
+
+
 def _verdicts(tmp_path, r, k, i):
     """What bounds --i i and blockdiag --oracle decide for r, not their values."""
     path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
@@ -123,17 +134,25 @@ class TestUnitInvariance:
     neither overflow nor underflow."""
 
     def test_commands_decide_alike_at_every_scale(self, tmp_path):
-        # planted like the benchmark's analyze files: 30% density, |N(0, 1)|
-        # values, the k pivot columns scaled by 10, a nonzero pivot diagonal
-        rng = np.random.default_rng(25)
-        k = 20
-        r = np.abs(rng.standard_normal((200, 100))) * (rng.random((200, 100)) < 0.3)
-        r[:, :k] *= 10.0
-        r[np.arange(k), np.arange(k)] += np.abs(rng.standard_normal(k))
-        want = _verdicts(tmp_path, r, k, 3)
+        r = planted(25)
+        want = _verdicts(tmp_path, r, 20, 3)
         assert [v[0] for v in want] == [0, 0]
         for e in (-600, -40, 40, 600):
-            assert _verdicts(tmp_path, np.ldexp(r, e), k, 3) == want, e
+            assert _verdicts(tmp_path, np.ldexp(r, e), 20, 3) == want, e
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e", [-1000, -600, 511, 600, 1000])
+    @pytest.mark.parametrize("command", [["bounds", "--k", 20, "--i", 3],
+                                         ["blockdiag", "--k", 20, "--oracle"],
+                                         ["approx", "--k", 20, "--i", 3, "--oracle"],
+                                         ["plan"]],
+                             ids=["bounds", "blockdiag", "approx", "plan"])
+    def test_commands_warn_nowhere_at_extreme_scales(self, tmp_path, command, e):
+        # from about 2^505 up, the products of approx's Collatz-Wielandt
+        # iteration on D overflow; that is its signal to take the SVD
+        path = tmp_path / "r.mtx"
+        mmio.write_matrix(path, np.ldexp(planted(25), e))
+        assert run([command[0], path, *command[1:], "-o", tmp_path / "rep.json"]) == 0
 
     @pytest.mark.parametrize("r", [[[1.0, 1e160], [1.0, 1.0], [0.5, 2.0]],
                                    [[1.0, 1.0], [1e160, 1.0], [0.5, 2.0]],

@@ -97,14 +97,12 @@ class TestPlanPartition:
     @pytest.mark.parametrize("k", [None, 20], ids=["scan", "k20"])
     def test_same_plan_at_any_power_of_two(self, e, k):
         # at 2^511 and past, the squared column norms overflowed; at 2^-600
-        # they underflowed, and either way the column order changed
+        # they underflowed, and either way the column order changed. No
+        # figure but the threshold carries the units of R.
         r = synthetic_sparse(200, 80, np.random.default_rng(41))
-        want = pl.plan_partition(r, k=k)
-        got = pl.plan_partition(np.ldexp(r, e), k=k)
-        for name in ("column_permutation", "row_permutation"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert (got.k, got.i_star, got.xi_ratio) == (want.k, want.i_star, want.xi_ratio)
-        assert got.threshold == np.ldexp(want.threshold, e)
+        want = pl.plan_partition(r, k=k).to_json()
+        want["threshold"] = float(np.ldexp(want["threshold"], e))
+        assert pl.plan_partition(np.ldexp(r, e), k=k).to_json() == want
 
     def test_no_copy_at_ordinary_scale(self, monkeypatch):
         r = synthetic_sparse(200, 80, np.random.default_rng(41))
@@ -154,8 +152,8 @@ class TestPlanPartition:
     def test_json_fields(self):
         plan = pl.plan_partition(np.abs(RNG.standard_normal((6, 4))), k=2)
         d = plan.to_json()
-        assert {"column_permutation", "row_permutation", "k", "i_star",
-                "threshold", "xi_ratio", "xi_ratio_flagged", "transposed"} <= set(d)
+        assert set(d) == {"column_permutation", "row_permutation", "k", "i_star",
+                          "threshold", "transposed"}
         assert d["transposed"] is False
 
     def test_wide_input_planned_through_its_transpose(self):
