@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import (BlockPartition, CheckReport, GapCertificate, JsonReport, MatrixError,
-                      SingularBlockError, as_matrix, cos_sin, operator_norm)
+from .matcore import (BlockPartition, CheckReport, JsonReport, MatrixError, SingularBlockError,
+                      _gamma, as_matrix, cos_sin, operator_norm)
 from .givens import _build_rotation
 
 SWEEP_TOL = 1e-12       # stop once both off-blocks are below SWEEP_TOL * ||R||
@@ -189,10 +189,42 @@ def check_lemma11(trace: SweepTrace) -> CheckReport:
     return rep
 
 
+@dataclass(frozen=True)
+class GapCertificate(JsonReport):
+    """The gap condition sigma_i(left) >= ||right||, its two sides and its verdict."""
+
+    i: int
+    sigma_i_left: float
+    norm_right: float
+    certified: bool
+
+    @classmethod
+    def from_bands(cls, left: np.ndarray, right: np.ndarray, i: int) -> "GapCertificate":
+        """Both sides for a k-column ``left`` and any ``right``; the left
+        side is read from a values-only SVD. Raises MatrixError for an i
+        outside 1..k.
+
+        ``certified`` needs a zero ``right``, or the gap to survive a pad of
+        gamma_p sigma_1(left) and gamma_q ||right|| (``_gamma``; p and q the
+        larger dimension of each block): LAPACK's backward-error model for
+        computed singular values, not a Rump-rigorous enclosure. The sides
+        are reported unpadded.
+        """
+        k = left.shape[1]
+        if not (1 <= i <= k):
+            raise MatrixError(f"need 1 <= i <= k, got i={i}, k={k}")
+        sigma_left = np.linalg.svd(left, compute_uv=False)
+        norm_right = operator_norm(right)
+        low = sigma_left[i - 1] - _gamma(max(left.shape)) * sigma_left[0]
+        high = norm_right * (1.0 + _gamma(max(right.shape)))
+        return cls(i=i, sigma_i_left=float(sigma_left[i - 1]), norm_right=norm_right,
+                   certified=bool(norm_right == 0.0 or low >= high))
+
+
 def gap_certificate(p: BlockPartition, i: int) -> GapCertificate:
     """Both sides of the gap condition sigma_i(R[:, :k]) >= ||R[:, k:]||,
-    read from the bands of ``p`` directly: the reference for the rotation
-    path and for ``pipeline.algorithm2``'s certificate."""
+    read from the bands of ``p`` directly: whether the sweeps' sigma(A_t)
+    holds R's top i values, as the sweeps keep the gap (Lemma 11 (v))."""
     # With D zeroed, as on R0, ||[B; 0]|| = ||B|| at a fraction of the cost.
     return GapCertificate.from_bands(p.left_band(), p.right_band() if p.d.any() else p.b, i)
 

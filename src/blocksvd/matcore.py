@@ -2,11 +2,10 @@
 rank-<=2k core of the zeroed-D matrix R0, the one singular-pivot rule
 ``check_pivot``, the one angle rule ``cos_sin``, the one ratio rule
 ``ratio_svd`` (the spectrum of A^{-1}B, overflow-free), norms (the one
-block norm ``operator_norm``, a certified upper bound for non-negative
-blocks, and the Schur test), the gap certificate, numerical rank, the
-one check report, for the Lemma 11, (S1) and Ky Fan diagnostics, bound
-containment and the ``verify`` suites, and the one JSON rule,
-``JsonReport``: a report's JSON is its dataclass fields.
+block norm ``operator_norm``, a certified upper bound and the Schur
+test), numerical rank, the one check report, for the Lemma 11, (S1) and Ky
+Fan diagnostics, bound containment and the ``verify`` suites, and the one
+JSON rule, ``JsonReport``: a report's JSON is its dataclass fields.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -176,8 +175,8 @@ def operator_norm(m) -> float:
     ||Y||^2, so the norm is within about 1e-15 relative of the SVD's, on
     either side of it. Small singular values would lose their accuracy to
     the squaring: spectra (sigma(A_t), the left band, the gap certificate's
-    left side) stay values-only SVDs, and ``certified_norm``'s exact
-    fallback takes the SVD's norm.
+    left side) stay values-only SVDs, and ``certified_norm``'s fallback
+    pads the SVD's norm.
     """
     a = np.asarray(m, dtype=float)
     s = float(np.abs(a).max()) if a.size else 0.0
@@ -186,38 +185,6 @@ def operator_norm(m) -> float:
     y = a / s
     g = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
     return s * float(np.sqrt(np.linalg.eigvalsh(g)[-1]))
-
-
-@dataclass(frozen=True)
-class GapCertificate(JsonReport):
-    """The gap condition sigma_i(left) >= ||right||, its two sides and its verdict."""
-
-    i: int
-    sigma_i_left: float
-    norm_right: float
-    certified: bool
-
-    @classmethod
-    def from_bands(cls, left: np.ndarray, right: np.ndarray, i: int) -> "GapCertificate":
-        """Both sides for a k-column ``left`` and any ``right``; the left
-        side is read from a values-only SVD. Raises MatrixError for an i
-        outside 1..k.
-
-        ``certified`` needs a zero ``right``, or the gap to survive a pad of
-        gamma_p sigma_1(left) and gamma_q ||right|| (``_gamma``; p and q the
-        larger dimension of each block): LAPACK's backward-error model for
-        computed singular values, not a Rump-rigorous enclosure. The sides
-        are reported unpadded.
-        """
-        k = left.shape[1]
-        if not (1 <= i <= k):
-            raise MatrixError(f"need 1 <= i <= k, got i={i}, k={k}")
-        sigma_left = np.linalg.svd(left, compute_uv=False)
-        norm_right = operator_norm(right)
-        low = sigma_left[i - 1] - _gamma(max(left.shape)) * sigma_left[0]
-        high = norm_right * (1.0 + _gamma(max(right.shape)))
-        return cls(i=i, sigma_i_left=float(sigma_left[i - 1]), norm_right=norm_right,
-                   certified=bool(norm_right == 0.0 or low >= high))
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -244,8 +211,8 @@ def _gamma(n: int) -> float:
 class NormBound:
     """A certified upper bound ``value`` on the operator norm.
 
-    ``method`` is ``"collatz-wielandt"`` or ``"svd"`` (the exact
-    ``np.linalg.norm(D, 2)``); ``iterations`` counts the matrix-vector pairs
+    ``method`` is ``"collatz-wielandt"`` or ``"svd"`` (LAPACK's sigma_1,
+    padded by gamma_p); ``iterations`` counts the matrix-vector pairs
     the Collatz-Wielandt iteration ran, also when it gave up and the SVD was
     taken.
     """
@@ -318,8 +285,8 @@ def certified_norm(m) -> NormBound:
     Non-negative matrices try ``collatz_wielandt_bound`` within the pairs
     one SVD costs (CW_PAIRS_PER_COLUMN per column of the smaller side);
     a signed matrix, or one the iteration gives up on, gets ``"svd"``:
-    LAPACK's sigma_1, ``np.linalg.norm(m, 2)`` (0.0 when empty), not
-    ``operator_norm``'s Gram route, which may round below it.
+    LAPACK's sigma_1, ``np.linalg.norm(m, 2)`` (0.0 when empty), padded by
+    gamma_p, p the larger dimension, for its backward error.
     """
     a = np.asarray(m, dtype=float)
     pairs = 0
@@ -327,7 +294,8 @@ def certified_norm(m) -> NormBound:
         bound, pairs = collatz_wielandt_bound(a, CW_PAIRS_PER_COLUMN * min(a.shape))
         if bound is not None:
             return NormBound(bound, "collatz-wielandt", pairs)
-    return NormBound(float(np.linalg.norm(a, 2)) if a.size else 0.0, "svd", pairs)
+    padded = float(np.linalg.norm(a, 2)) * (1.0 + _gamma(max(a.shape))) if a.size else 0.0
+    return NormBound(padded, "svd", pairs)
 
 
 def numerical_rank(sigma) -> int:

@@ -12,9 +12,8 @@ and B^T = Q_B R_B, R0 = diag(I, Q_C) [[A, R_B^T], [R_C, 0]] diag(I, Q_B^T),
 so sigma(R0) is the spectrum of that core of side at most 2k (the rank-<=2k
 factored solve of Halko, Martinsson and Tropp, arXiv:0909.4061, section 5),
 built by ``matcore.r0_core`` for ``bounds`` too. The block-rotation sweeps
-of ``blockdiag.top_singular_values`` reach the same values and certificate
-and stay as the reference that ``verify pipeline`` checks this path
-against.
+of ``blockdiag.top_singular_values`` reach the same values and stay as the
+reference that ``verify pipeline`` checks this path against.
 
 Nothing here inverts the pivot A, so the driver solves the requested split
 whatever A is. R - R0 is D padded with zeros, so by Weyl's inequality
@@ -25,12 +24,8 @@ non-negative m' x n' block D it is the Collatz-Wielandt bound of a power
 iteration on D^T D, stopped within 1e-12 of the Rayleigh quotient and
 padded by gamma_{m'+n'} for the rounding of its non-negative sums; for a
 signed D, or when the iteration would need more than 0.4 min(m', n')
-matrix-vector pairs (the measured cost of one SVD), the exact ||D||_2 from
-an SVD, ``np.linalg.norm(D, 2)``.
-When the gap certificate sigma_i([A; C]) >= ||B|| holds, interlacing gives
-sigma_i(R0) >= ||B|| >= sigma_{k+1}(R0). Both sides come from the core:
-[A; C] = diag(I, Q_C) [A; R_C] and B = R_B^T Q_B^T, so sigma([A; C]) is
-sigma(core[:, :k]) and ||B|| = ||R_B||, both of side at most k.
+matrix-vector pairs (the measured cost of one SVD), LAPACK's sigma_1,
+``np.linalg.norm(D, 2)``, padded by gamma_{max(m', n')} for its rounding.
 """
 
 from __future__ import annotations
@@ -40,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (BlockPartition, GapCertificate, JsonReport, MatrixError, as_matrix,
-                      certified_norm, r0_core)
+from .matcore import (BlockPartition, JsonReport, MatrixError, as_matrix, certified_norm,
+                      r0_core)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
 THRESHOLD_FACTOR = math.sqrt(1.0 + math.sqrt(2.0))  # sqrt(1 + sqrt(1 + 1/alpha)), alpha = 1
@@ -165,21 +160,19 @@ class PipelineError(MatrixError):
 class ApproxReport(JsonReport):
     """Certified top singular values after dropping the bottom-right block.
 
-    ``values`` are the top singular values of R0, from its rank-<=2k
-    factors with no iteration; ``k`` is always the requested split.
+    ``values`` are the top ``rank`` singular values of R0, from its
+    rank-<=2k factors with no iteration, zero past the factors' side;
+    ``k`` is always the requested split.
     ``norm_d`` is a certified upper bound on ||D||_2 and ``error_bound`` is
     twice it, so |sigma_j(R) - values_j| <= error_bound for any pivot A.
     ``norm_d_method`` says how the bound was taken: ``"collatz-wielandt"``
     (a non-negative m' x n' block D, power iteration on D^T D padded by
     gamma_{m'+n'} for rounding, never below ||D||_2 and within about 1e-12
-    of it) or ``"svd"`` (the exact ||D||_2, ``np.linalg.norm(D, 2)``, taken
-    for a signed D and when the iteration would need more pairs than its
-    cap, about one SVD's cost). ``norm_d_iterations`` counts the
-    iteration's matrix-vector pairs, including those run before it gave way
-    to the SVD. ``certificate`` is the gap condition
-    sigma_i([A; C]) >= ||B||, read from the same core: sigma([A; C]) =
-    sigma([A; R_C]) and ||B|| = ||R_B||, since Q_C and Q_B have
-    orthonormal columns.
+    of it) or ``"svd"`` (``np.linalg.norm(D, 2)`` padded by
+    gamma_{max(m', n')}, taken for a signed D and when the iteration would
+    need more pairs than its cap, about one SVD's cost).
+    ``norm_d_iterations`` counts the iteration's matrix-vector pairs,
+    including those run before it gave way to the SVD.
     """
 
     rank: int
@@ -189,7 +182,6 @@ class ApproxReport(JsonReport):
     norm_d: float
     norm_d_method: str
     norm_d_iterations: int
-    certificate: GapCertificate
     oracle_values: np.ndarray | None = None
     oracle_deviations: np.ndarray | None = None
 
@@ -203,15 +195,15 @@ class ApproxReport(JsonReport):
 
 
 def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
-    """Top ``i`` singular values of ``r`` with a certified error bound.
+    """Top ``i`` singular values of ``r`` with a certified error bound,
+    for any 1 <= i <= n.
 
     Zeroes the bottom-right block D of the (k, k) partition, takes thin QR
     factors C = Q_C R_C and B^T = Q_B R_B, and reads sigma(R0) from the
-    core [[A, R_B^T], [R_C, 0]] of side at most 2k, and the gap
-    certificate from the core's first k columns and R_B; nothing of size
-    m x n is built. Reports the leading values with the bound 2 * norm_d,
-    which holds for any pivot A, singular or not: the split is never
-    changed.
+    core [[A, R_B^T], [R_C, 0]] of side at most 2k; nothing of size m x n
+    is built. Values past the core's side are sigma_j(R0) = 0. Reports the
+    leading values with the bound 2 * norm_d, which holds for any pivot A,
+    singular or not: the split is never changed.
     ``oracle`` adds a direct SVD comparison to the report.
     """
     # Checked before BlockPartition validates r, so a too-wide r is refused
@@ -220,16 +212,16 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     if len(shape) == 2 and shape[1] > DENSE_LIMIT:
         raise PipelineError(f"dense driver limited to {DENSE_LIMIT} columns, got {shape[1]}")
     p = BlockPartition(r, k)
-    r_b = np.linalg.qr(p.b.T, mode="r")
-    core = r0_core(p, np.linalg.qr(p.c, mode="r"), r_b)
-    # sigma([A; C]) = sigma([A; R_C]) and ||B|| = ||R_B||
-    cert = GapCertificate.from_bands(core[:, :k], r_b, i)
+    if not (1 <= i <= p.n):
+        raise MatrixError(f"need 1 <= i <= n, got i={i}, n={p.n}")
+    core = r0_core(p, np.linalg.qr(p.c, mode="r"), np.linalg.qr(p.b.T, mode="r"))
     norm_d = certified_norm(p.d)
     values = np.linalg.svd(core, compute_uv=False)[:i]
+    values = np.pad(values, (0, i - values.size))   # sigma_j(R0) = 0 past the core's side
     report = ApproxReport(rank=i, k=k, values=values,
                           error_bound=2.0 * norm_d.value, norm_d=norm_d.value,
                           norm_d_method=norm_d.method,
-                          norm_d_iterations=norm_d.iterations, certificate=cert)
+                          norm_d_iterations=norm_d.iterations)
     if oracle:
         true = np.linalg.svd(p.base, compute_uv=False)[:i]
         report.oracle_values = true
@@ -243,7 +235,7 @@ def approximate(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     The planner's order puts the large columns and rows in the pivot, so the
     dropped block D, and with it the error bound, is small. The planner
     needs non-negative entries; a signed matrix is solved in its stored
-    order, where the certificate holds just the same. A wide matrix
+    order, where the bound holds just the same. A wide matrix
     (fewer rows than columns) is solved through its transpose, planned or
     not (``_oriented``), so ``k`` splits R^T, as in ``plan_partition``.
     This is the ``approx`` command's path.

@@ -1,4 +1,6 @@
 import dataclasses
+from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -311,6 +313,39 @@ class TestTopSingularValues:
         r[:, :2] *= 1e-3
         _, cert, _ = bd.top_singular_values(mc.BlockPartition(r, 2), 2)
         assert not cert.certified
+
+
+def _pythagorean_ties():
+    """R = [[a, b, 1], [-b, a, 0], 0, 0] with a, b the doubles nearest p/c
+    and q/c, for every Pythagorean triple (p, q, c) with legs below 60."""
+    for p in range(1, 60):
+        for q in range(1, 60):
+            c = isqrt(p * p + q * q)
+            if c * c == p * p + q * q:
+                a, b = p / c, q / c
+                yield (p, q, c), np.array([[a, b, 1.0], [-b, a, 0.0], [0, 0, 0], [0, 0, 0]])
+
+
+class TestGapCertificate:
+    def test_exact_near_ties_not_certified(self):
+        # The left band's two columns are orthogonal, so sigma_2([A; C])^2
+        # is exactly a^2 + b^2, which the rounding of p/c and q/c leaves
+        # just above or below ||B|| = 1.
+        below = 0
+        for triple, r in _pythagorean_ties():
+            a, b = Fraction(r[0, 0]), Fraction(r[0, 1])
+            if a * a + b * b >= 1:
+                continue
+            below += 1
+            cert = bd.GapCertificate.from_bands(r[:, :2], r[:, 2:], 2)
+            assert not cert.certified, triple
+            assert not bd.gap_certificate(mc.BlockPartition(r, 2), 2).certified, triple
+        assert below == 14
+
+    def test_zero_right_side_certified(self):
+        left = np.array([[1.0, 0.0], [0.0, 0.0]])
+        cert = bd.GapCertificate.from_bands(left, np.zeros((2, 1)), 2)
+        assert (cert.sigma_i_left, cert.norm_right, cert.certified) == (0.0, 0.0, True)
 
 
 def margins(rep):

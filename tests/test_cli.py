@@ -266,7 +266,15 @@ class TestApproxCommand:
         recipe = pl.algorithm2(pl.plan_partition(r, k=20).apply(r), k=20, i=5)
         assert rep["values"] == recipe.values.tolist()
         assert rep["error_bound"] == recipe.error_bound
-        assert rep["certificate"]["certified"]
+
+    def test_more_values_than_the_split(self, tmp_path):
+        # any i <= n: past the core's side 2k = 8 the values are zero
+        r = np.abs(np.random.default_rng(19).standard_normal((30, 12)))
+        path, out = tmp_path / "r.mtx", tmp_path / "rep.json"
+        mmio.write_matrix(path, r)
+        assert run(["approx", path, "--k", 4, "--i", 9, "--oracle", "-o", out]) == 0
+        rep = json.loads(out.read_text())
+        assert len(rep["values"]) == 9 and rep["values"][8] == 0.0
 
     def test_wide_file(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -384,18 +392,18 @@ class TestNumericOptions:
     """A numeric option outside its range is refused before any work, by
     the library with MatrixError and by the command with exit 2."""
 
-    @pytest.mark.parametrize("i", [0, 4], ids=["i-zero", "i-past-k"])
+    @pytest.mark.parametrize("i", [0, 9], ids=["i-zero", "i-past-n"])
     def test_approx_value_count(self, tmp_path, capsys, i):
         r = np.abs(np.random.default_rng(5).standard_normal((12, 8)))
         path = tmp_path / "r.mtx"
         mmio.write_matrix(path, r)
-        message = f"need 1 <= i <= k, got i={i}, k=3"
+        message = f"need 1 <= i <= n, got i={i}, n=8"
         with pytest.raises(MatrixError, match=message):
             pl.algorithm2(r, k=3, i=i)
         with pytest.raises(MatrixError, match=message):
             pl.approximate(r, k=3, i=i)
         assert run(["approx", path, "--k", 3, "--i", i]) == 2
-        assert capsys.readouterr().err.startswith("error: need 1 <= i <= k")
+        assert capsys.readouterr().err.startswith("error: need 1 <= i <= n")
 
     @pytest.mark.parametrize("i", [-1, 0, 9], ids=["i-negative", "i-zero", "i-past-n"])
     def test_bounds_value_index(self, tmp_path, monkeypatch, capsys, i):
