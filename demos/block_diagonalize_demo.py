@@ -25,7 +25,7 @@ print(f"converged: {res.converged} after {res.iterations} sweeps")
 print(f"{'t':>3} {'||B||':>12} {'||C||':>12} {'||D||':>12} {'sigma_k(A)':>12}")
 for rec in res.trace.records:
     print(f"{rec.t:>3} {rec.norm_b:>12.3e} {rec.norm_c:>12.3e} "
-          f"{rec.norm_d:>12.3e} {rec.sigma_k_a:>12.6f}")
+          f"{rec.norm_d:>12.3e} {rec.sigma_a[-1]:>12.6f}")
 
 print(f"\nmax spectrum deviation vs SVD: {res.spectrum_deviation():.3e}")
 

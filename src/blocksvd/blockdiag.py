@@ -21,12 +21,11 @@ KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins, relative to 
 
 @dataclass(frozen=True)
 class SweepRecord(JsonReport):
-    """State of the iterate R_t after t rotations."""
+    """State of the iterate R_t after t rotations. ||A_t|| and
+    sigma_k(A_t) are ``sigma_a[0]`` and ``sigma_a[-1]``."""
 
     t: int
-    norm_a: float
-    sigma_a: np.ndarray          # all singular values of A_t
-    sigma_k_a: float
+    sigma_a: np.ndarray          # all singular values of A_t, descending
     norm_b: float
     norm_c: float
     norm_d: float
@@ -58,9 +57,7 @@ class SweepTrace:
         norm_d = operator_norm(p.d)
         self.records.append(SweepRecord(
             t=t,
-            norm_a=float(sa[0]),
             sigma_a=sa,
-            sigma_k_a=float(sa[-1]),
             norm_b=0.0 if b_zero else operator_norm(p.b),
             norm_c=0.0 if c_zero else operator_norm(p.c),
             norm_d=norm_d,
@@ -172,13 +169,14 @@ def check_lemma11(trace: SweepTrace) -> CheckReport:
     margins = []
     for prev, nxt in zip(recs[1:], recs[2:]):
         off = prev.norm_b if prev.norm_b >= prev.norm_c else prev.norm_c
+        norm_a, sigma_k_a = float(prev.sigma_a[0]), float(prev.sigma_a[-1])
         # D-contraction: ||D|| times the cosine of the angle of tangent off / ||A||
-        if prev.norm_a > 0:
-            margins.append(prev.norm_d * cos_sin(off, prev.norm_a)[0] - nxt.norm_d)
+        if norm_a > 0:
+            margins.append(prev.norm_d * cos_sin(off, norm_a)[0] - nxt.norm_d)
         # new off-block: ||D|| times the sine of the angle of tangent off / sigma_k(A)
-        if off > 0 or prev.sigma_k_a > 0:
+        if off > 0 or sigma_k_a > 0:
             new_off = nxt.norm_c if prev.norm_b >= prev.norm_c else nxt.norm_b
-            margins.append(prev.norm_d * cos_sin(off, prev.sigma_k_a)[1] - new_off)
+            margins.append(prev.norm_d * cos_sin(off, sigma_k_a)[1] - new_off)
     rep.add("iv_contraction", min(margins, default=0.0),
             tol if trace.n == trace.k + 1 else np.inf)
     # (v) gap preservation once it holds at t = 0
@@ -191,7 +189,8 @@ def check_lemma11(trace: SweepTrace) -> CheckReport:
 
 @dataclass(frozen=True)
 class GapCertificate(JsonReport):
-    """The gap condition sigma_i(left) >= ||right||, its two sides and its verdict."""
+    """The gap condition sigma_i([A; C]) >= ||[B; D]|| of a k-split, its
+    two sides and its verdict."""
 
     i: int
     sigma_i_left: float
@@ -199,34 +198,21 @@ class GapCertificate(JsonReport):
     certified: bool
 
     @classmethod
-    def from_bands(cls, left: np.ndarray, right: np.ndarray, i: int) -> "GapCertificate":
-        """Both sides for a k-column ``left`` and any ``right``; the left
-        side is read from a values-only SVD. Raises MatrixError for an i
-        outside 1..k.
+    def from_record(cls, rec: SweepRecord, i: int, m: int) -> "GapCertificate":
+        """Both sides as ``rec`` measured them, for 1 <= i <= k:
+        ``sigma_left_band[i - 1]`` and ``norm_right_band`` of an m-row
+        iterate's two bands.
 
-        ``certified`` needs a zero ``right``, or the gap to survive a pad of
-        gamma_p sigma_1(left) and gamma_q ||right|| (``_gamma``; p and q the
-        larger dimension of each block): LAPACK's backward-error model for
-        computed singular values, not a Rump-rigorous enclosure. The sides
-        are reported unpadded.
+        ``certified`` needs a zero right band, or the gap to survive a pad
+        of gamma_m sigma_1(left) and gamma_m ||right|| (``_gamma``):
+        LAPACK's backward-error model for computed singular values, not a
+        Rump-rigorous enclosure. The sides are reported unpadded.
         """
-        k = left.shape[1]
-        if not (1 <= i <= k):
-            raise MatrixError(f"need 1 <= i <= k, got i={i}, k={k}")
-        sigma_left = np.linalg.svd(left, compute_uv=False)
-        norm_right = operator_norm(right)
-        low = sigma_left[i - 1] - _gamma(max(left.shape)) * sigma_left[0]
-        high = norm_right * (1.0 + _gamma(max(right.shape)))
+        sigma_left, norm_right = rec.sigma_left_band, rec.norm_right_band
+        low = sigma_left[i - 1] - _gamma(m) * sigma_left[0]
+        high = norm_right * (1.0 + _gamma(m))
         return cls(i=i, sigma_i_left=float(sigma_left[i - 1]), norm_right=norm_right,
                    certified=bool(norm_right == 0.0 or low >= high))
-
-
-def gap_certificate(p: BlockPartition, i: int) -> GapCertificate:
-    """Both sides of the gap condition sigma_i(R[:, :k]) >= ||R[:, k:]||,
-    read from the bands of ``p`` directly: whether the sweeps' sigma(A_t)
-    holds R's top i values, as the sweeps keep the gap (Lemma 11 (v))."""
-    # With D zeroed, as on R0, ||[B; 0]|| = ||B|| at a fraction of the cost.
-    return GapCertificate.from_bands(p.left_band(), p.right_band() if p.d.any() else p.b, i)
 
 
 def top_singular_values(p: BlockPartition, i: int):
@@ -234,11 +220,16 @@ def top_singular_values(p: BlockPartition, i: int):
 
     Returns (values, certificate, result). The values are the top i of
     sigma(A_t) from the trace's last record, the same SVD that the last
-    sweep recorded. The certificate is ``gap_certificate(p, i)``; when it
-    fails the values are still returned, uncertified.
+    sweep recorded. The certificate's two sides are the trace's first
+    record, the bands of R itself (``GapCertificate.from_record``): whether
+    sigma(A_t) holds R's top i values, as the sweeps keep the gap (Lemma 11
+    (v)). When it fails the values are still returned, uncertified. Raises
+    MatrixError for an i outside 1..k.
     """
-    cert = gap_certificate(p, i)
+    if not (1 <= i <= p.k):
+        raise MatrixError(f"need 1 <= i <= k, got i={i}, k={p.k}")
     res = block_diagonalize(p)
+    cert = GapCertificate.from_record(res.trace.records[0], i, p.m)
     return res.trace.records[-1].sigma_a[:i], cert, res
 
 

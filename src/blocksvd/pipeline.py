@@ -160,7 +160,7 @@ class PipelineError(MatrixError):
 class ApproxReport(JsonReport):
     """Certified top singular values after dropping the bottom-right block.
 
-    ``values`` are the top ``rank`` singular values of R0, from its
+    ``values`` are the top ``i`` singular values of R0, from its
     rank-<=2k factors with no iteration, zero past the factors' side;
     ``k`` is always the requested split.
     ``norm_d`` is a certified upper bound on ||D||_2 and ``error_bound`` is
@@ -175,7 +175,6 @@ class ApproxReport(JsonReport):
     including those run before it gave way to the SVD.
     """
 
-    rank: int
     k: int
     values: np.ndarray
     error_bound: float          # 2 * norm_d, for any pivot A
@@ -218,7 +217,7 @@ def algorithm2(r, k: int, i: int, oracle: bool = False) -> ApproxReport:
     norm_d = certified_norm(p.d)
     values = np.linalg.svd(core, compute_uv=False)[:i]
     values = np.pad(values, (0, i - values.size))   # sigma_j(R0) = 0 past the core's side
-    report = ApproxReport(rank=i, k=k, values=values,
+    report = ApproxReport(k=k, values=values,
                           error_bound=2.0 * norm_d.value, norm_d=norm_d.value,
                           norm_d_method=norm_d.method,
                           norm_d_iterations=norm_d.iterations)

@@ -227,8 +227,8 @@ class TestLemma11Diagnostics:
         # k = 1: a left step, then a right step after which ||D_t|| grows
         # from 1 to 2, past its contraction bound 1 / sqrt(1 + 1/4)
         def rec(t, norm_b, norm_c, norm_d):
-            return bd.SweepRecord(t=t, norm_a=2.0, sigma_a=np.array([2.0]), sigma_k_a=2.0,
-                                  norm_b=norm_b, norm_c=norm_c, norm_d=norm_d,
+            return bd.SweepRecord(t=t, sigma_a=np.array([2.0]), norm_b=norm_b,
+                                  norm_c=norm_c, norm_d=norm_d,
                                   sigma_left_band=np.array([2.0]), norm_right_band=norm_d,
                                   degenerate=False)
         return bd.SweepTrace(k=1, n=n, records=[rec(0, 1.0, 0.0, 1.0), rec(1, 1.0, 0.0, 1.0),
@@ -302,11 +302,34 @@ class TestTopSingularValues:
             norm = mc.operator_norm(p.base)
             assert np.max(np.abs(values - oracle)) <= 1e-9 * norm
 
-    def test_zero_d_certificate_uses_b(self):
+    def test_zero_d_certificate_reads_right_band(self):
         r = RNG.standard_normal((30, 12))
         r[5:, 5:] = 0.0
-        cert = bd.gap_certificate(mc.BlockPartition(r, 5), 3)
+        _, cert, _ = bd.top_singular_values(mc.BlockPartition(r, 5), 3)
         assert cert.norm_right == pytest.approx(mc.operator_norm(r[:, 5:]), rel=1e-14)
+
+    def test_certificate_is_the_first_record(self, monkeypatch):
+        # Both sides come from the sweeps' t = 0 record, bit for bit: no
+        # spectrum or norm beyond those of a bare block_diagonalize.
+        p = random_partition(30, 12, 4, scale_left=10.0)
+        calls = []
+        real_svd, real_norm = np.linalg.svd, bd.operator_norm
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **kw: calls.append("svd") or real_svd(*a, **kw))
+        monkeypatch.setattr(bd, "operator_norm", lambda a: calls.append("norm") or real_norm(a))
+        bd.block_diagonalize(p)
+        bare = sorted(calls)
+        calls.clear()
+        _, cert, res = bd.top_singular_values(p, 3)
+        assert sorted(calls) == bare
+        rec = res.trace.records[0]
+        assert (cert.sigma_i_left, cert.norm_right) == (rec.sigma_left_band[2], rec.norm_right_band)
+
+    @pytest.mark.parametrize("i", [0, 5])
+    def test_index_outside_split_refused_before_sweeping(self, monkeypatch, i):
+        monkeypatch.setattr(bd, "block_diagonalize", None)
+        with pytest.raises(mc.MatrixError, match=f"need 1 <= i <= k, got i={i}, k=4"):
+            bd.top_singular_values(random_partition(12, 8, 4), i)
 
     def test_no_gap_uncertified(self):
         r = RNG.standard_normal((8, 6))
@@ -337,14 +360,15 @@ class TestGapCertificate:
             if a * a + b * b >= 1:
                 continue
             below += 1
-            cert = bd.GapCertificate.from_bands(r[:, :2], r[:, 2:], 2)
+            _, cert, _ = bd.top_singular_values(mc.BlockPartition(r, 2), 2)
             assert not cert.certified, triple
-            assert not bd.gap_certificate(mc.BlockPartition(r, 2), 2).certified, triple
         assert below == 14
 
     def test_zero_right_side_certified(self):
-        left = np.array([[1.0, 0.0], [0.0, 0.0]])
-        cert = bd.GapCertificate.from_bands(left, np.zeros((2, 1)), 2)
+        # R is block diagonal already, so no rotation meets the singular A
+        r = np.zeros((3, 3))
+        r[0, 0] = 1.0
+        _, cert, _ = bd.top_singular_values(mc.BlockPartition(r, 2), 2)
         assert (cert.sigma_i_left, cert.norm_right, cert.certified) == (0.0, 0.0, True)
 
 
@@ -424,8 +448,7 @@ def _dense_rotation(p, side):
 def _dense_record(t, p, degenerate=False):
     sa = np.linalg.svd(p.a, compute_uv=False)
     return bd.SweepRecord(
-        t=t, norm_a=mc.operator_norm(p.a), sigma_a=sa, sigma_k_a=float(sa[-1]),
-        norm_b=mc.operator_norm(p.b), norm_c=mc.operator_norm(p.c),
+        t=t, sigma_a=sa, norm_b=mc.operator_norm(p.b), norm_c=mc.operator_norm(p.c),
         norm_d=mc.operator_norm(p.d),
         sigma_left_band=np.linalg.svd(p.left_band(), compute_uv=False),
         norm_right_band=mc.operator_norm(p.right_band()), degenerate=degenerate)
@@ -495,8 +518,8 @@ class TestMatchesDenseReference:
                 == [c.passed for c in bd.check_lemma11(trace).checks])
         tol = 1e-12 * mc.operator_norm(p.base)
         for g, w in zip(got, want):
-            for name in ("norm_a", "sigma_a", "sigma_k_a", "norm_b", "norm_c", "norm_d",
-                         "sigma_left_band", "norm_right_band"):
+            for name in ("sigma_a", "norm_b", "norm_c", "norm_d", "sigma_left_band",
+                         "norm_right_band"):
                 dev = np.max(np.abs(np.asarray(getattr(g, name)) - getattr(w, name)))
                 assert dev <= tol, (g.t, name, dev)
         assert mc.operator_norm(res.final - final) <= 1e-10 * mc.operator_norm(p.base)

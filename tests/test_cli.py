@@ -30,6 +30,9 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+BLOCKDIAG_KEYS = {"k", "converged", "iterations", "trace", "diagnostics"}
+
+
 class TestBlockdiagCommand:
     def test_converges_exit_zero(self, tmp_path):
         path, _ = write_banded(tmp_path)
@@ -38,12 +41,18 @@ class TestBlockdiagCommand:
         rep = json.loads(out.read_text())
         assert rep["converged"]
         assert rep["trace"]
+        # each value once: ||A_t|| and sigma_k(A_t) are sigma_a's ends
+        assert set(rep) == BLOCKDIAG_KEYS
+        for rec in rep["trace"]:
+            assert set(rec) == {"t", "sigma_a", "norm_b", "norm_c", "norm_d",
+                                "sigma_left_band", "norm_right_band", "degenerate"}
 
     def test_oracle_deviation_reported(self, tmp_path):
         path, r = write_banded(tmp_path)
         out = tmp_path / "rep.json"
         assert run(["blockdiag", path, "--k", 3, "--oracle", "-o", out]) == 0
         rep = json.loads(out.read_text())
+        assert set(rep) == BLOCKDIAG_KEYS | {"oracle_max_dev"}
         assert rep["oracle_max_dev"] <= 1e-9 * np.linalg.norm(r, 2)
 
     def test_oracle_takes_one_full_spectrum(self, tmp_path, monkeypatch):
@@ -185,6 +194,8 @@ class TestBoundsCommand:
         assert run(["bounds", path, "--k", 3, "-o", out]) == 0
         rep = json.loads(out.read_text())
         assert rep["all_contain"]
+        # mu_bar is the slice-mu report's upper, not a key of its own
+        assert set(rep) == {"k", "i", "reports", "all_contain"}
         formulas = {item["formula"] for item in rep["reports"]}
         assert {"Weyl-gap", "slice-mu", "Thm2-R0-min"} <= formulas
 

@@ -230,7 +230,7 @@ class TestAlgorithm2:
         r = planted_low_rank(20, 15, 4, 0.01, rng)
         rep = pl.algorithm2(r, k=4, i=3, oracle=True)
         d = rep.to_json()
-        assert set(d) == {"rank", "k", "values", "error_bound",
+        assert set(d) == {"k", "values", "error_bound",
                           "norm_d", "norm_d_method", "norm_d_iterations",
                           "oracle_values", "oracle_deviations"}
 
