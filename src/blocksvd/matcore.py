@@ -71,9 +71,17 @@ class CheckReport(JsonReport):
     checks: list[CheckItem] = field(default_factory=list)
 
     def add(self, name: str, margin: float, tol: float = 0.0):
-        """Record ``margin`` under ``name``; the one verdict rule: pass when margin >= -tol."""
-        margin = float(margin)
-        self.checks.append(CheckItem(name, bool(margin >= -tol), margin))
+        """Record ``margin`` under ``name``; the one verdict rule: pass when
+        margin >= -tol, so NaN fails. The one worst-case rule: a later add
+        of a name keeps its item in place with the least margin (NaN if
+        either is), passing only if every add of that name passed."""
+        item = CheckItem(name, bool(float(margin) >= -tol), float(margin))
+        for j, c in enumerate(self.checks):
+            if c.name == name:
+                least = item.margin if math.isnan(item.margin) else min(c.margin, item.margin)
+                self.checks[j] = CheckItem(name, c.passed and item.passed, least)
+                return
+        self.checks.append(item)
 
     @property
     def all_passed(self) -> bool:

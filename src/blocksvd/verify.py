@@ -1,8 +1,11 @@
 """Self-verification suites: randomized invariant checks for every module.
 
 Each suite runs a batch of checks and returns a ``CheckReport`` of signed
-margins (non-negative means the invariant holds with room to spare).
-Reports are deterministic for a fixed seed and serialize to JSON for the CLI.
+margins (non-negative means the invariant holds with room to spare). Each
+draw adds its margin where it measures it, so a check's margin is the least
+over the draws it judged (``CheckReport.add``), a NaN margin fails it, and a
+check that judged no draw fails with margin -1.0. Reports are deterministic
+for a fixed seed and serialize to JSON for the CLI.
 """
 
 from __future__ import annotations
@@ -55,14 +58,11 @@ def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
 def verify_matcore(seed: int, trials: int) -> mc.CheckReport:
     rep = mc.CheckReport()
     rng = rm.stream(seed, 0)
-    worst_schur = worst_norm = np.inf
     for _ in range(trials):
         a = rng.standard_normal((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
         norm, exact = mc.operator_norm(a), np.linalg.norm(a, 2)
-        worst_schur = min(worst_schur, mc.schur_test_bound(a) - norm)
-        worst_norm = min(worst_norm, 1e-13 * exact - abs(norm - exact))
-    rep.add("schur_bound_dominates_norm", worst_schur, tol=1e-12)
-    rep.add("operator_norm_matches_svd", worst_norm)
+        rep.add("schur_bound_dominates_norm", mc.schur_test_bound(a) - norm, tol=1e-12)
+        rep.add("operator_norm_matches_svd", 1e-13 * exact - abs(norm - exact))
     return rep
 
 
@@ -70,34 +70,28 @@ def verify_givens(seed: int, trials: int) -> mc.CheckReport:
     rep = mc.CheckReport()
     rng = rm.stream(seed, 1)
     scales = rm.stream(seed, 1, 1)   # its own stream, so it shifts none of rng's draws
-    worst_orth = worst_ann = worst_weight = worst_asm = worst_extreme = np.inf
     for _ in range(trials):
         p = _random_partition(rng)
-        worst_extreme = min(worst_extreme, _extreme_ratio_margin(p, scales))
         norm_r = mc.operator_norm(p.base)
         for build, off in ((gv.build_right_rotation, "b"), (gv.build_left_rotation, "c")):
             g = build(p)
             dim = g.matrix.shape[0]
             orth = mc.operator_norm(g.matrix.T @ g.matrix - np.eye(dim))
-            worst_orth = min(worst_orth, 1e-11 * dim - orth)
+            rep.add("rotation_orthogonality", 1e-11 * dim - orth)
             if g.side == "right":
                 rotated = mc.BlockPartition(p.base @ g.matrix, p.k)
                 resid = mc.operator_norm(rotated.b)
             else:
                 rotated = mc.BlockPartition(g.matrix @ p.base, p.k)
                 resid = mc.operator_norm(rotated.c)
-            worst_ann = min(worst_ann, 1e-10 * norm_r - resid)
+            rep.add("off_block_annihilation", 1e-10 * norm_r - resid)
             w = gv.rotation_weight(g)
-            worst_weight = min(worst_weight, min(w, 1.0 - w + 1e-15))
+            rep.add("rotation_weight_in_unit_interval", min(w, 1.0 - w + 1e-15))
         q = np.linalg.qr(rng.standard_normal((p.n, p.n)))[0]
         kk = min(p.k, p.n - p.k) if p.n > p.k else max(p.n - 1, 1)
         fac = gv.block_rotation_decompose(q, kk)
-        worst_asm = min(worst_asm, 1e-10 - mc.operator_norm(fac.assemble() - q))
-    rep.add("rotation_orthogonality", worst_orth)
-    rep.add("off_block_annihilation", worst_ann)
-    rep.add("rotation_weight_in_unit_interval", worst_weight)
-    rep.add("cs_decomposition_reassembles", worst_asm)
-    rep.add("extreme_ratio_rotations", worst_extreme)
+        rep.add("cs_decomposition_reassembles", 1e-10 - mc.operator_norm(fac.assemble() - q))
+        rep.add("extreme_ratio_rotations", _extreme_ratio_margin(p, scales))
     return rep
 
 
@@ -120,8 +114,7 @@ def _extreme_ratio_margin(p: mc.BlockPartition, rng: np.random.Generator) -> flo
 def verify_blockdiag(seed: int, trials: int) -> mc.CheckReport:
     rep = mc.CheckReport()
     rng = rm.stream(seed, 2)
-    worst_conv = worst_spec = np.inf
-    failing_lem = failing_kyfan = 0   # reports whose own verdict fails
+    lem, kyfan = [], []   # verdicts of the reports whose failures are counted
     for _ in range(trials):
         m = int(rng.integers(6, 14))
         k = int(rng.integers(2, 5))
@@ -136,9 +129,9 @@ def verify_blockdiag(seed: int, trials: int) -> mc.CheckReport:
         res = bd.block_diagonalize(p)
         norm_r = float(res.spectrum[0])
         last = res.trace.records[-1]
-        worst_conv = min(worst_conv, bd.SWEEP_TOL * norm_r - max(last.norm_b, last.norm_c))
-        worst_spec = min(worst_spec, 1e-9 * norm_r - res.spectrum_deviation())
-        failing_kyfan += not bd.kyfan_column_bounds(r, min(k, n)).all_passed
+        rep.add("sweeps_converge", bd.SWEEP_TOL * norm_r - max(last.norm_b, last.norm_c))
+        rep.add("spectrum_preserved", 1e-9 * norm_r - res.spectrum_deviation())
+        kyfan.append(bd.kyfan_column_bounds(r, min(k, n)).all_passed)
         # contraction diagnostics are checked on square splits one short of
         # full, where every stated factor is provably attained
         k2 = int(rng.integers(2, 8))
@@ -147,31 +140,33 @@ def verify_blockdiag(seed: int, trials: int) -> mc.CheckReport:
         p2 = mc.BlockPartition(r2, k2)
         if np.linalg.svd(p2.a, compute_uv=False)[-1] < 1e-2:
             continue
-        failing_lem += not bd.check_lemma11(bd.block_diagonalize(p2).trace).all_passed
-    rep.add("sweeps_converge", worst_conv)
-    rep.add("spectrum_preserved", worst_spec)
-    rep.add("sweep_diagnostics_hold", -failing_lem)
-    rep.add("column_norm_partial_sums", -failing_kyfan)
+        lem.append(bd.check_lemma11(bd.block_diagonalize(p2).trace).all_passed)
+    _fail_unjudged(rep, "sweeps_converge", "spectrum_preserved")
+    for name, verdicts in (("sweep_diagnostics_hold", lem), ("column_norm_partial_sums", kyfan)):
+        rep.add(name, -verdicts.count(False) if verdicts else -1.0)
     return rep
+
+
+def _fail_unjudged(rep: mc.CheckReport, *names: str):
+    """Fail each of ``names`` that no draw added, with margin -1.0."""
+    for name in names:
+        if name not in {c.name for c in rep.checks}:
+            rep.add(name, -1.0)
 
 
 def verify_bounds(seed: int, trials: int) -> mc.CheckReport:
     rep = mc.CheckReport()
     rng = rm.stream(seed, 3)
-    worst_weyl = worst_mu = worst_t2 = np.inf   # slack / sigma_1(R)
-    for _ in range(trials):
+    for _ in range(trials):   # margins are slack / sigma_1(R)
         p = _random_partition(rng)
         p = bn.SpectralPartition(p.base, p.k)
         scale = float(p.sigma_r[0])
         i = int(rng.integers(1, p.k + 1))
         for r in bn.weyl_gap_bounds(p, i):
-            worst_weyl = min(worst_weyl, r.slack / scale)
-        worst_mu = min(worst_mu, bn.mu_bounds(p, i).slack / scale)
+            rep.add("gap_bounds_contain_oracle", r.slack / scale, tol=bn.BOUND_TOL)
+        rep.add("slice_bound_contains_gap", bn.mu_bounds(p, i).slack / scale, tol=bn.BOUND_TOL)
         for r in bn.theorem2_bounds(p):
-            worst_t2 = min(worst_t2, r.slack / scale)
-    rep.add("gap_bounds_contain_oracle", worst_weyl, tol=bn.BOUND_TOL)
-    rep.add("slice_bound_contains_gap", worst_mu, tol=bn.BOUND_TOL)
-    rep.add("zeroed_block_value_bounds", worst_t2, tol=bn.BOUND_TOL)
+            rep.add("zeroed_block_value_bounds", r.slack / scale, tol=bn.BOUND_TOL)
     oracle = float(np.linalg.svd(np.array([[0.6, -0.8], [0.8, 0.0]]),
                                  compute_uv=False)[1])
     rep.add("closed_form_reference_value",
@@ -190,16 +185,16 @@ def verify_theorem3(seed: int, trials: int) -> mc.CheckReport:
     rep.add("hand_case_upper", min(r.upper - r.oracle for r in reps), tol=1e-12)
     rep.add("hand_case_lower_tight", -abs(reps[-1].lower - reps[-1].oracle), tol=1e-12)
     rng = rm.stream(seed, 4)
-    worst = np.inf   # slack / largest expected-Gram eigenvalue
-    for _ in range(max(trials // 10, 1)):
+    for _ in range(max(trials // 10, 1)):   # margins are slack / largest expected-Gram eigenvalue
         m, k = 500, 20
         sizes = rng.integers(5, 60, size=k).astype(float)
         prof = rm.ColumnProfile(m=m, sizes=sizes, norms=np.sqrt(sizes), L=int(sizes.max()))
         if not rm.check_S1(prof).all_passed:
             continue
         reps = rm.theorem3_bounds(prof)
-        worst = min(worst, min(r.slack for r in reps) / max(r.oracle for r in reps))
-    rep.add("random_profiles_contained", worst, tol=bn.BOUND_TOL)
+        rep.add("random_profiles_contained",
+                min(r.slack for r in reps) / max(r.oracle for r in reps), tol=bn.BOUND_TOL)
+    _fail_unjudged(rep, "random_profiles_contained")
     return rep
 
 
@@ -256,26 +251,22 @@ def verify_pipeline(seed: int, trials: int) -> mc.CheckReport:
              and np.array_equal(plan2.row_permutation, np.arange(30)))
     rep.add("planner_idempotent", 0.0 if ident else -1.0)
     runs = max(trials // 100, 3)
-    worst = worst_match = np.inf
     for _ in range(runs):
         r = rng.standard_normal((60, 24))
         r[:, :8] *= 5.0
         r[8:, 8:] *= 0.01
         report = pl.algorithm2(r, k=8, i=4, oracle=True)
         norm_r = float(report.oracle_values[0])
-        worst = min(worst, report.oracle_margin())
+        rep.add("certified_error_sound", report.oracle_margin())
         p0 = mc.BlockPartition(mc.BlockPartition(r, report.k).zero_d(), report.k)
         rotations = bd.top_singular_values(p0, 4)[0]
-        worst_match = min(worst_match,
-                          1e-10 * norm_r - float(np.abs(report.values - rotations).max()))
-    rep.add("certified_error_sound", worst)
-    rep.add("direct_matches_rotations", worst_match)
+        rep.add("direct_matches_rotations",
+                1e-10 * norm_r - float(np.abs(report.values - rotations).max()))
     # The README's recipe at 5% density, kept where matcore.check_pivot
     # refuses the 20x20 pivot; most draws are, so 20 per run is ample, and
     # finding fewer than runs of them fails the check.
     rng = rm.stream(seed, 7)
-    worst, found, draws = np.inf, 0, 0
-    worst_norm_d = np.inf
+    found = draws = 0
     while found < runs and draws < 20 * runs:
         draws += 1
         r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.05)
@@ -287,27 +278,26 @@ def verify_pipeline(seed: int, trials: int) -> mc.CheckReport:
         except mc.SingularBlockError:
             found += 1
         report = pl.algorithm2(pr, k=20, i=5, oracle=True)
-        worst = min(worst, report.oracle_margin() if report.k == 20 else -1.0)
-        worst_norm_d = min(worst_norm_d, _norm_d_margin(report, pr, 20))
-    rep.add("singular_pivot_sound", worst if found == runs else -1.0)
+        rep.add("singular_pivot_sound", report.oracle_margin())
+        rep.add("norm_d_certified", _norm_d_margin(report, pr, 20))
+    if found < runs:
+        rep.add("singular_pivot_sound", -1.0)
     # The recipe at its README density, where the iteration certifies ||D||.
     for _ in range(runs):
         r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.3)
         r[:, :20] *= 10.0
         pr = pl.plan_partition(r, k=20).apply(r)
         report = pl.algorithm2(pr, k=20, i=5)
-        worst_norm_d = min(worst_norm_d, _norm_d_margin(report, pr, 20))
-    rep.add("norm_d_certified", worst_norm_d)
+        rep.add("norm_d_certified", _norm_d_margin(report, pr, 20))
     # The paper's regime: zero-one columns of truncated-gamma sizes. The
     # bound is about 1.2 sigma_1 there, so this checks containment only.
     rng = rm.stream(seed, 8)
-    worst = np.inf
     for _ in range(runs):
         sizes = rm.sample_sizes_truncated_gamma(60, rm.GammaSpec(1.5, 0.05), rng)
         r = np.column_stack([rm.sample_column_binary(300, int(s), rng)
                              for s in np.clip(np.ceil(sizes), 1, 300)])
-        worst = min(worst, pl.approximate(r, k=10, i=5, oracle=True).oracle_margin())
-    rep.add("zero_one_regime_sound", worst)
+        rep.add("zero_one_regime_sound",
+                pl.approximate(r, k=10, i=5, oracle=True).oracle_margin())
     return rep
 
 

@@ -413,6 +413,10 @@ class TestKyFanColumnBounds:
             assert margins(rep)["head"] >= -1e-10
             assert margins(rep)["tail"] >= -1e-10
 
+    def test_index_zero_refused(self):
+        with pytest.raises(mc.MatrixError, match="need 1 <= i <= 3, got 0"):
+            bd.kyfan_column_bounds(np.eye(3), 0)
+
 
 # Reference sweep: every rotation as a dense m x m or n x n product, built
 # from the full SVD of the ratio, and every trace field from its own SVD.

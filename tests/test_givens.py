@@ -18,6 +18,14 @@ def random_partition(rng, m, n, k):
 
 
 class TestBlockTrig:
+    @pytest.mark.parametrize("a, b, message", [
+        (np.ones((2, 3)), np.ones((2, 2)), r"A must be square, got \(2, 3\)"),
+        (np.eye(2), np.ones((3, 2)), r"B must have 2 rows, got \(3, 2\)"),
+    ], ids=["A-2x3", "B-3-rows"])
+    def test_shape_refused(self, a, b, message):
+        with pytest.raises(mc.MatrixError, match=message):
+            gv.block_trig(a, b)
+
     def test_scalar_zero_off_block(self):
         t = gv.block_trig(np.array([[1.0]]), np.array([[0.0]]))
         assert t.cos_ab[0, 0] == pytest.approx(1.0)
@@ -168,6 +176,10 @@ class TestHouseholder:
         with pytest.raises(mc.MatrixError, match="finite"):
             gv.householder_block(a, v)
 
+    def test_matrix_v_rejected(self):
+        with pytest.raises(mc.MatrixError, match="v must be a vector"):
+            gv.householder_block(1.0, np.ones((2, 2)))
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_transposed_k1_right_rotation(self, sign):
         for _ in range(20):
@@ -240,6 +252,14 @@ class TestBlockRotationDecompose:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(mc.MatrixError):
             gv.block_rotation_decompose(np.ones((3, 3)), 1)
+
+    @pytest.mark.parametrize("q, k, message", [
+        (np.eye(3)[:, :2], 1, "input must be square"),
+        (np.eye(3), 0, "split k=0 out of range for n=3"),
+    ], ids=["3x2", "k-0"])
+    def test_shape_refused(self, q, k, message):
+        with pytest.raises(mc.MatrixError, match=message):
+            gv.block_rotation_decompose(q, k)
 
 
 def test_stacked_selection_norm_bound():

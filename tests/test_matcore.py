@@ -1,5 +1,7 @@
 """Tests for the dense matrix substrate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,14 @@ class TestBlockPartition:
     def test_wide_matrix_rejected(self):
         with pytest.raises(mc.MatrixError):
             mc.BlockPartition(np.ones((3, 5)), 2)
+
+    @pytest.mark.parametrize("m, message", [
+        (np.ones(3), "expected a 2-D matrix, got ndim=1"),
+        (np.ones((0, 3)), "matrix must be at least 1x1, got shape (0, 3)"),
+    ], ids=["1-D", "0x3"])
+    def test_as_matrix_refuses(self, m, message):
+        with pytest.raises(mc.MatrixError, match=re.escape(message)):
+            mc.as_matrix(m)
 
 
 class TestNorms:
@@ -174,6 +184,14 @@ class TestCertifiedNorm:
         assert (nb.method, nb.iterations) == ("svd", 1)
         assert nb.value == np.linalg.norm(d, 2) * (1 + mc._gamma(30))
 
+    def test_subnormal_iterate_takes_svd(self):
+        # D^T D 1 = (1, 1, 1e-320): the third entry is subnormal, below the
+        # least iterate whose ratio keeps full precision, so the iteration
+        # gives up after one pair although no entry is zero.
+        nb = mc.certified_norm(np.diag([1.0, 1.0, 1e-160]))
+        assert (nb.method, nb.iterations) == ("svd", 1)
+        assert nb.value == 1.0 * (1 + mc._gamma(3))
+
     def test_small_block_skips_iteration(self):
         # one SVD of a 2 x 2 block costs less than one pair of products;
         # its sigma_1 is padded by gamma_2 for LAPACK's rounding
@@ -193,6 +211,35 @@ class TestCheckReport:
         rep.add("no_tol", 0.0)
         assert [(c.passed, type(c.margin)) for c in rep.checks] == [
             (True, float), (False, float), (True, float)]
+        assert not rep.all_passed
+
+    def test_repeated_name_keeps_least_margin_in_place(self):
+        rep = mc.CheckReport()
+        rep.add("repeated", 1.0)
+        rep.add("between", 0.0)
+        rep.add("repeated", 0.25)
+        rep.add("repeated", np.float64(3.0))
+        assert [(c.name, c.passed, c.margin) for c in rep.checks] == [
+            ("repeated", True, 0.25), ("between", True, 0.0)]
+        assert type(rep.checks[0].margin) is float
+
+    def test_failing_add_keeps_name_failing(self):
+        rep = mc.CheckReport()
+        rep.add("x", -0.5, tol=1.0)
+        rep.add("x", -0.75, tol=0.5)
+        rep.add("x", 2.0)
+        assert [(c.name, c.passed, c.margin) for c in rep.checks] == [("x", False, -0.75)]
+        assert not rep.all_passed
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_add_makes_margin_nan_and_fails(self, at):
+        margins = [1.0, 2.0, 3.0]
+        margins[at] = float("nan")
+        rep = mc.CheckReport()
+        for margin in margins:
+            rep.add("x", margin)
+        (item,) = rep.checks
+        assert np.isnan(item.margin) and not item.passed
         assert not rep.all_passed
 
 

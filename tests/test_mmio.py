@@ -277,3 +277,32 @@ class TestUndecodableBytes:
         path = tmp_path / "comment.mtx"
         path.write_bytes(GENERAL.encode() + b"\n% caf\xe9\n2 2 2\n1 1 1.5\n% \xff\n2 2 -3\n")
         np.testing.assert_array_equal(mmio.read_matrix(path), [[1.5, 0.0], [0.0, -3.0]])
+
+
+class TestHeaderRejections:
+    """Each refusal of the header or size line names its line."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        (GENERAL + "\n% no size line follows\n", "line 2: missing size line"),
+        (GENERAL + "\n2 2\n1 1 1.0\n", "line 2: size line needs 'rows cols entries', got '2 2'"),
+        (GENERAL + "\n0 3 0\n", "line 2: invalid dimensions 0 x 3, 0 entries"),
+        (SYMMETRIC + "\n3 2 0\n", "line 2: symmetric storage requires a square matrix"),
+    ], ids=["empty", "no-size-line", "two-tokens", "zero-rows", "symmetric-3x2"])
+    def test_refused(self, tmp_path, text, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(mmio.MatrixMarketError, match=re.escape(message)):
+            mmio.read_matrix(path)
+
+    def test_command_exits_2(self, tmp_path, capsys):
+        from blocksvd import cli
+
+        path = tmp_path / "empty.mtx"
+        path.write_text("")
+        assert cli.main(["approx", str(path), "--k", "1", "--i", "1"]) == 2
+        assert capsys.readouterr().err == "error: line 1: empty file\n"
+
+    def test_write_refuses_vector(self, tmp_path):
+        with pytest.raises(MatrixError, match="need a non-empty 2-D array"):
+            mmio.write_matrix(tmp_path / "v.mtx", np.ones(3))

@@ -64,6 +64,10 @@ class TestPlanPartition:
         with pytest.raises(MatrixError):
             pl.plan_partition(np.array([[1.0, -1.0]]))
 
+    def test_rejects_split_at_n(self):
+        with pytest.raises(MatrixError, match="need 1 <= k < n, got k=4, n=4"):
+            pl.plan_partition(np.ones((6, 4)), k=4)
+
     def test_sorted_output(self):
         r = np.abs(RNG.standard_normal((20, 10)))
         plan = pl.plan_partition(r, k=4)

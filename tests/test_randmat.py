@@ -478,3 +478,42 @@ class TestCorollary10:
         spec = rm.GammaSpec(alpha=1.0, beta=0.1)
         rep = rm.corollary10_bounds(m=500, k=1, spec=spec, resamples=20, seed=83)
         assert rep.containment_fraction == 1.0
+
+
+def _binary(m, sizes):
+    return rm.RandomColumnModel("binary", m, sizes=sizes)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: rm.ColumnProfile(m=4, sizes=[2.0]),
+     mc.MatrixError, "exactly one of norms / expected_sq_norms required"),
+    (lambda: rm.ColumnProfile(m=4, sizes=[2.0, 2.0], norms=[1.0]),
+     mc.MatrixError, "norms must match sizes in length"),
+    (lambda: rm.ColumnProfile(m=4, sizes=[2.0], norms=[3.0]),
+     mc.MatrixError, "infeasible profile: a norm exceeds its size"),
+    (lambda: rm.ColumnProfile(m=4, sizes=[2.0, 2.0], expected_sq_norms=[1.0]),
+     mc.MatrixError, "expected_sq_norms must match sizes in length"),
+    (lambda: rm.sample_column_binary(4, 5, rm.stream(0)),
+     mc.MatrixError, "need 1 <= l <= m, got l=5, m=4"),
+    (lambda: rm.sample_column_fixed_size(4, 0.0, rm.stream(0)),
+     mc.MatrixError, "size must be positive"),
+    (lambda: rm.sample_column_fixed_size_norm(4, 0.0, 1.0, rm.stream(0)),
+     mc.MatrixError, "size must be positive"),
+    # a norm this close to the size puts the point near a vertex of the
+    # simplex, which no scaled uniform draw of 200 coordinates reaches
+    (lambda: rm.sample_column_fixed_size_norm(200, 1.0, 0.99, rm.stream(0)),
+     rm.SamplerStarvation, "no acceptance in 10000 draws for (m=200, s=1.0, b=0.99)"),
+    (lambda: rm.RandomColumnModel("gaussian", 4, sizes=[2.0]),
+     mc.MatrixError, "unknown model kind 'gaussian'"),
+    (lambda: rm.lemma13_stats(_binary(4, [2.0]), _binary(5, [2.0]), trials=10),
+     mc.MatrixError, "models must share the row count"),
+    (lambda: rm.lemma13_stats(_binary(4, [2.0, 2.0]), _binary(4, [2.0]), trials=10),
+     mc.MatrixError, "lemma13_stats works on single-column models"),
+], ids=["profile-no-norms", "profile-norms-length", "profile-norm-above-size",
+        "profile-sq-norms-length", "binary-l-above-m", "fixed-size-zero",
+        "fixed-size-norm-zero", "fixed-size-norm-starves", "unknown-kind",
+        "lemma13-row-counts", "lemma13-two-columns"])
+def test_input_refused(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
