@@ -31,7 +31,7 @@ _EXPORTS = {
                "householder_block", "rotation_weight"),
     "matcore": ("BlockPartition", "CheckItem", "CheckReport", "MatrixError", "NormBound",
                 "SingularBlockError", "as_matrix", "certified_norm", "check_pivot", "cos_sin",
-                "operator_norm", "schur_test_bound"),
+                "operator_norm", "pow2_scale", "schur_test_bound"),
     "mmio": ("MatrixMarketError", "read_matrix", "write_matrix"),
     "pipeline": ("ApproxReport", "PartitionPlan", "PipelineError", "algorithm2",
                  "approximate", "plan_partition"),

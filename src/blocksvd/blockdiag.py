@@ -4,19 +4,18 @@ certified extraction of top singular values."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .matcore import (BlockPartition, CheckReport, JsonReport, MatrixError, SingularBlockError,
-                      _gamma, as_matrix, cos_sin, operator_norm)
+                      _gamma, as_matrix, cos_sin, operator_norm, pow2_scale)
 from .givens import _build_rotation
 
 SWEEP_TOL = 1e-12       # stop once both off-blocks are below SWEEP_TOL * ||R||
 MAX_SWEEPS = 1000       # ... or after this many rotations, unconverged
 LEMMA11_TOL = 1e-9      # slack of every Lemma 11 check, relative to the bands' norms
-KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins, relative to ||y||_F^2
+KYFAN_TOL = 1e-10       # slack of both Ky Fan partial-sum margins, fractions of ||y||_F^2
 
 
 @dataclass(frozen=True)
@@ -237,21 +236,20 @@ def kyfan_column_bounds(y, i: int) -> CheckReport:
     """Partial-sum comparison at index i between squared singular values and
     squared column norms (columns sorted by descending norm): ``head``,
     sum_{j<=i} sigma_j^2 - sum_{j<=i} ||y_j||^2, and ``tail``,
-    sum_{j>i} ||y_j||^2 - sum_{j>i} sigma_j^2, each >= 0 by Ky Fan and
-    passing down to -KYFAN_TOL * ||y||_F^2. y is first divided by the power
-    of two that puts max|y| in [1, 2), exactly, so no square overflows or
-    underflows; the margins and the slack are in those units, and 2^e y has
-    the margins of y."""
+    sum_{j>i} ||y_j||^2 - sum_{j>i} sigma_j^2, each >= 0 by Ky Fan. Both
+    are reported as fractions of ||y||_F^2 (0 for a zero y), so they are
+    unit-free, and pass down to -KYFAN_TOL. The squares are taken of
+    ``pow2_scale(y)``, so none overflows or underflows."""
     y = as_matrix(y)
     q = y.shape[1]
     if not (1 <= i <= q):
         raise MatrixError(f"need 1 <= i <= {q}, got {i}")
-    y = np.ldexp(y, 1 - math.frexp(float(np.abs(y).max()))[1])
+    y = pow2_scale(y)[0]
     sig2 = np.linalg.svd(y, compute_uv=False) ** 2
     sig2 = np.concatenate([sig2, np.zeros(max(0, q - sig2.size))])
     col2 = np.sort((y**2).sum(axis=0))[::-1]
-    tol = KYFAN_TOL * float(col2.sum())
+    frob2 = float(col2.sum()) or 1.0    # a zero y has zero sums
     rep = CheckReport()
-    rep.add("head", sig2[:i].sum() - col2[:i].sum(), tol)
-    rep.add("tail", col2[i:].sum() - sig2[i:q].sum(), tol)
+    rep.add("head", (sig2[:i].sum() - col2[:i].sum()) / frob2, KYFAN_TOL)
+    rep.add("tail", (col2[i:].sum() - sig2[i:q].sum()) / frob2, KYFAN_TOL)
     return rep

@@ -1,11 +1,11 @@
 """Dense numerical substrate: input validation, block partitions and the
-rank-<=2k core of the zeroed-D matrix R0, the one singular-pivot rule
-``check_pivot``, the one angle rule ``cos_sin``, the one ratio rule
-``ratio_svd`` (the spectrum of A^{-1}B, overflow-free), norms (the one
-block norm ``operator_norm``, a certified upper bound and the Schur
-test), numerical rank, the one check report, for the Lemma 11, (S1) and Ky
-Fan diagnostics, bound containment and the ``verify`` suites, and the one
-JSON rule, ``JsonReport``: a report's JSON is its dataclass fields.
+rank-<=2k core of the zeroed-D matrix R0, the one scale rule ``pow2_scale``,
+the one singular-pivot rule ``check_pivot``, the one angle rule ``cos_sin``,
+the one ratio rule ``ratio_svd`` (the spectrum of A^{-1}B, overflow-free),
+norms (the one block norm ``operator_norm``, a certified upper bound and the
+Schur test), numerical rank, the one check report, for the Lemma 11, (S1)
+and Ky Fan diagnostics, bound containment and the ``verify`` suites, and the
+one JSON rule, ``JsonReport``: a report's JSON is its dataclass fields.
 
 Blocks are plain 0-based numpy slices; callers that need singular vectors
 take ``np.linalg.svd``'s ``(u, s, vt)`` directly.
@@ -173,26 +173,40 @@ def r0_core(p: BlockPartition, r_c: np.ndarray, r_b: np.ndarray) -> np.ndarray:
     return core
 
 
-def operator_norm(m) -> float:
-    """||m||_2 as s * sqrt(lambda_max(Y^T Y)), Y = m / s, s = max|m|, with
-    the Gram matrix on the smaller side; 0.0 for an empty or zero block.
+# pow2_scale's window. LAPACK rescales, by factors that are not powers of two,
+# a matrix whose largest entry is outside about 2^+-459 (dgesdd) and a Gram
+# matrix outside about 2^+-484 (dsyevd). The Gram matrix of a block inside
+# 2^+-200 has its largest entry in [2^-400, p 2^400], p its larger side.
+SCALE_EXP = 200
 
-    With max|Y| = 1 the Gram matrix has an entry of at least 1, so squaring
-    can neither overflow nor lose lambda_max to underflow. Forming it and
-    eigvalsh each err by a few units of roundoff relative to lambda_max =
-    ||Y||^2, so the norm is within about 1e-15 relative of the SVD's, on
-    either side of it. Small singular values would lose their accuracy to
-    the squaring: spectra (sigma(A_t), the left band, the gap certificate's
-    left side) stay values-only SVDs, and ``certified_norm``'s fallback
-    pads the SVD's norm.
-    """
+
+def pow2_scale(m) -> tuple[np.ndarray, int]:
+    """The one scale rule: ``(y, e)`` with m = 2^e y exactly; ``(m, 0)``, no
+    copy, when max|m| lies inside 2^+-SCALE_EXP or m is zero or empty, else
+    max|y| is in [1, 2), for subnormal maxima too. Every unit-sensitive
+    primitive works on y and scales its result back by 2^e."""
     a = np.asarray(m, dtype=float)
-    s = float(np.abs(a).max()) if a.size else 0.0
-    if s == 0.0:
+    s = max(float(a.max()), -float(a.min())) if a.size else 0.0
+    if s == 0.0 or 2.0**-SCALE_EXP <= s <= 2.0**SCALE_EXP:
+        return a, 0
+    e = math.frexp(s)[1] - 1
+    return np.ldexp(a, -e), e
+
+
+def operator_norm(m) -> float:
+    """||m||_2 as 2^e sqrt(lambda_max(Y^T Y)), (Y, e) = ``pow2_scale(m)``,
+    the Gram matrix on the smaller side; 0.0 for an empty or zero block.
+    In ``SCALE_EXP``'s window squaring neither overflows nor loses lambda_max
+    to underflow, and eigvalsh does not rescale. Forming the Gram matrix and
+    eigvalsh each err by a few units of roundoff relative to ||Y||^2, so the
+    norm is within about 1e-15 relative of the SVD's, on either side. Small
+    singular values would lose their accuracy to the squaring, so spectra
+    stay values-only SVDs."""
+    y, e = pow2_scale(m)
+    if not y.size:
         return 0.0
-    y = a / s
     g = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
-    return s * float(np.sqrt(np.linalg.eigvalsh(g)[-1]))
+    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(g)[-1]), e))
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -217,13 +231,10 @@ def _gamma(n: int) -> float:
 
 @dataclass(frozen=True)
 class NormBound:
-    """A certified upper bound ``value`` on the operator norm.
-
-    ``method`` is ``"collatz-wielandt"`` or ``"svd"`` (LAPACK's sigma_1,
-    padded by gamma_p); ``iterations`` counts the matrix-vector pairs
-    the Collatz-Wielandt iteration ran, also when it gave up and the SVD was
-    taken.
-    """
+    """A certified upper bound ``value`` on the operator norm. ``method`` is
+    ``"collatz-wielandt"`` or ``"svd"`` (LAPACK's sigma_1, padded by
+    gamma_p); ``iterations`` counts the matrix-vector pairs the
+    Collatz-Wielandt iteration ran, also when it gave up for the SVD."""
 
     value: float
     method: str
@@ -243,67 +254,64 @@ def collatz_wielandt_bound(d: np.ndarray, max_pairs: float) -> tuple[float | Non
     that (plus the division and square root) before it is returned.
 
     Returns (None, pairs) when the bound cannot be certified cheaply: a
-    component of Mx vanishes or leaves the normal range, a value overflows,
-    the gap stops shrinking, or the gap's geometric rate predicts more than
-    ``max_pairs`` pairs. Returns (bound, pairs) otherwise.
+    component of Mx vanishes or leaves the normal range, the gap stops
+    shrinking, or the gap's geometric rate predicts more than ``max_pairs``
+    pairs. Returns (bound, pairs) otherwise. With d inside ``SCALE_EXP``'s
+    window, as ``certified_norm`` passes it, no product overflows.
     """
     m, n = d.shape
     x = np.ones(n)
     support, prev, pairs = slice(None), None, 0
-    # A product that overflows (or meets inf * 0) is the give-up signal
-    # below, caught by the range and finiteness tests, not a fault.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while pairs + 1 <= max_pairs:
-            y = d.T @ (d @ x)
-            pairs += 1
-            if pairs == 1 and not (y > 0).all():
-                # From x = 1, y_i = 0 exactly when column i is zero, unless it
-                # underflowed; the zero columns stay zero in every later y.
-                nonzero = d.any(axis=0)
-                if not np.array_equal(y > 0, nonzero):
-                    return None, pairs
-                if not nonzero.any():
-                    return 0.0, pairs
-                support = np.flatnonzero(nonzero)
-            ys, xs = y[support], x[support]
-            if not ys.min() >= _SAFE_MIN:
+    while pairs + 1 <= max_pairs:
+        y = d.T @ (d @ x)
+        pairs += 1
+        if pairs == 1 and not (y > 0).all():
+            # From x = 1, y_i = 0 exactly when column i is zero, unless it
+            # underflowed; the zero columns stay zero in every later y.
+            nonzero = d.any(axis=0)
+            if not np.array_equal(y > 0, nonzero):
                 return None, pairs
-            ub = float(np.max(ys / xs))
-            rq = float(xs @ ys) / float(xs @ xs)
-            if not np.isfinite(ub) or not np.isfinite(rq):
+            if not nonzero.any():
+                return 0.0, pairs
+            support = np.flatnonzero(nonzero)
+        ys, xs = y[support], x[support]
+        if not ys.min() >= _SAFE_MIN:
+            return None, pairs
+        ub = float(np.max(ys / xs))
+        rq = float(xs @ ys) / float(xs @ xs)
+        gap = (ub - rq) / ub
+        if gap <= CW_TOL:
+            # (Mx)_i <= fl(y_i) / (1 - gamma_{m+n}); the division, the
+            # square root and the final product add three roundings.
+            return float(np.sqrt(ub) * (1.0 + _gamma(m + n + 4))), pairs
+        if prev is not None:
+            if gap >= prev:
                 return None, pairs
-            gap = (ub - rq) / ub
-            if gap <= CW_TOL:
-                # (Mx)_i <= fl(y_i) / (1 - gamma_{m+n}); the division, the
-                # square root and the final product add three roundings.
-                return float(np.sqrt(ub) * (1.0 + _gamma(m + n + 4))), pairs
-            if prev is not None:
-                if gap >= prev:
-                    return None, pairs
-                if pairs + np.log(CW_TOL / gap) / np.log(gap / prev) > max_pairs:
-                    return None, pairs
-            prev = gap
-            x = y / ys.max()
+            if pairs + np.log(CW_TOL / gap) / np.log(gap / prev) > max_pairs:
+                return None, pairs
+        prev = gap
+        x = y / ys.max()
     return None, pairs
 
 
 def certified_norm(m) -> NormBound:
-    """Certified upper bound on the operator norm of ``m``.
+    """Certified upper bound on the operator norm of ``m``, found on
+    (y, e) = ``pow2_scale(m)`` and scaled back by 2^e.
 
     Non-negative matrices try ``collatz_wielandt_bound`` within the pairs
     one SVD costs (CW_PAIRS_PER_COLUMN per column of the smaller side);
     a signed matrix, or one the iteration gives up on, gets ``"svd"``:
-    LAPACK's sigma_1, ``np.linalg.norm(m, 2)`` (0.0 when empty), padded by
+    LAPACK's sigma_1, ``np.linalg.norm(y, 2)`` (0.0 when empty), padded by
     gamma_p, p the larger dimension, for its backward error.
     """
-    a = np.asarray(m, dtype=float)
+    y, e = pow2_scale(m)
     pairs = 0
-    if a.size and a.min() >= 0.0:
-        bound, pairs = collatz_wielandt_bound(a, CW_PAIRS_PER_COLUMN * min(a.shape))
+    if y.size and y.min() >= 0.0:
+        bound, pairs = collatz_wielandt_bound(y, CW_PAIRS_PER_COLUMN * min(y.shape))
         if bound is not None:
-            return NormBound(bound, "collatz-wielandt", pairs)
-    padded = float(np.linalg.norm(a, 2)) * (1.0 + _gamma(max(a.shape))) if a.size else 0.0
-    return NormBound(padded, "svd", pairs)
+            return NormBound(float(np.ldexp(bound, e)), "collatz-wielandt", pairs)
+    padded = float(np.linalg.norm(y, 2)) * (1.0 + _gamma(max(y.shape))) if y.size else 0.0
+    return NormBound(float(np.ldexp(padded, e)), "svd", pairs)
 
 
 def numerical_rank(sigma) -> int:
@@ -335,16 +343,19 @@ def ratio_svd(a: np.ndarray, off: np.ndarray, sigma_a, factors: bool = False):
     a's descending spectrum, must pass ``check_pivot``. adj = 2^-e, e >= 0
     the least for which frexp exponents put ||off||_F / sigma_min(a) * adj
     below 2^900, so neither the solve nor the SVD can overflow; a ratio up
-    to 2^898 has e = 0. The angle of tangent sigma_j(a^{-1} off) is
-    ``cos_sin(sigma[j], adj)``. e stops at 1074, so adj > 0 and a zero
-    sigma_j keeps the angle 0."""
+    to 2^898 has e = 0. ||off||_F is read from ``pow2_scale(off)``, and the
+    pair is solved scaled by a's ``pow2_scale`` exponent e_A, in range for
+    a subnormal a: off by one ldexp, by -(e + e_A). The angle of tangent
+    sigma_j(a^{-1} off) is ``cos_sin(sigma[j], adj)``. e stops at 1074, so
+    adj > 0 and a zero sigma_j keeps the angle 0."""
     check_pivot(sigma_a)
-    s, e = float(np.abs(off).max()), 0
-    if s > 0.0:   # ||off||_F < 2^top and sigma_min(a) >= 2^(low - 1)
-        top = math.frexp(s)[1] + math.frexp(float(np.linalg.norm(off / s)))[1]
+    (y, e_off), (a, e_a) = pow2_scale(off), pow2_scale(a)
+    norm, e = float(np.linalg.norm(y)), 0
+    if norm > 0.0:   # ||off||_F < 2^top and sigma_min(a) >= 2^(low - 1)
+        top = e_off + math.frexp(norm)[1]
         low = math.frexp(float(sigma_a[-1]))[1]
         e = min(max(top - low + 1 - 900, 0), 1074)
-    x, adj = np.linalg.solve(a, np.ldexp(off, -e) if e else off), math.ldexp(1.0, -e)
+    x, adj = np.linalg.solve(a, np.ldexp(off, -(e + e_a)) if e + e_a else off), math.ldexp(1, -e)
     if not factors:
         return np.linalg.svd(x, compute_uv=False), adj
     u, sig, vt = np.linalg.svd(x, full_matrices=False)
@@ -352,8 +363,8 @@ def ratio_svd(a: np.ndarray, off: np.ndarray, sigma_a, factors: bool = False):
 
 
 def schur_test_bound(m) -> float:
-    """sqrt(||M||_inf * ||M||_1); always >= the operator norm."""
-    a = as_matrix(m)
-    row = np.abs(a).sum(axis=1).max()
-    col = np.abs(a).sum(axis=0).max()
-    return float(np.sqrt(row * col))
+    """sqrt(||M||_inf * ||M||_1) of ``pow2_scale(M)``, scaled back; >= ||M||_2."""
+    y, e = pow2_scale(as_matrix(m))
+    row = np.abs(y).sum(axis=1).max()
+    col = np.abs(y).sum(axis=0).max()
+    return float(np.ldexp(np.sqrt(row * col), e))

@@ -19,13 +19,8 @@ Nothing here inverts the pivot A, so the driver solves the requested split
 whatever A is. R - R0 is D padded with zeros, so by Weyl's inequality
 |sigma_j(R) - sigma_j(R0)| <= ||D||: the reported 2 * norm_d bounds
 |sigma_j(R) - values_j| for any A, up to the solve's rounding. ``norm_d``
-is a certified upper bound on ||D||_2 (``matcore.certified_norm``). For a
-non-negative m' x n' block D it is the Collatz-Wielandt bound of a power
-iteration on D^T D, stopped within 1e-12 of the Rayleigh quotient and
-padded by gamma_{m'+n'} for the rounding of its non-negative sums; for a
-signed D, or when the iteration would need more than 0.4 min(m', n')
-matrix-vector pairs (the measured cost of one SVD), LAPACK's sigma_1,
-``np.linalg.norm(D, 2)``, padded by gamma_{max(m', n')} for its rounding.
+is a certified upper bound on ||D||_2: ``matcore.certified_norm``'s
+Collatz-Wielandt bound for a non-negative D, else LAPACK's padded sigma_1.
 """
 
 from __future__ import annotations
@@ -36,11 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (BlockPartition, JsonReport, MatrixError, as_matrix, certified_norm,
-                      r0_core)
+                      pow2_scale, r0_core)
 
 DENSE_LIMIT = 2000          # larger column counts are rejected
 THRESHOLD_FACTOR = math.sqrt(1.0 + math.sqrt(2.0))  # sqrt(1 + sqrt(1 + 1/alpha)), alpha = 1
-PLAN_EXP = 480              # inside 2^+-480 the planner's squares stay in float's normal range
 
 
 @dataclass(frozen=True)
@@ -111,19 +105,14 @@ def plan_partition(r, k: int | None = None) -> PartitionPlan:
     the permutations; the permuted matrix is never built. A wide matrix is
     planned through its transpose, so ``k`` splits R^T.
 
-    An R whose largest entry is 2^e f (0.5 <= f < 1), |e| > PLAN_EXP, is
-    planned as 2^-e R, exactly, and ``threshold`` scaled back, so that no
-    column norm or threshold overflows or underflows as it squares. No
-    other figure depends on the units: the plan of 2^e R is the plan of R
-    with ``threshold`` times 2^e.
+    R is planned as ``matcore.pow2_scale(R)`` gives it and ``threshold``
+    scaled back, so no square overflows or underflows, and the plan of 2^e R
+    is the plan of R with ``threshold`` times 2^e.
     """
     r, transposed = _oriented(r)
     if r.min() < 0.0:
         raise MatrixError("planner requires a non-negative matrix")
-    e = math.frexp(float(r.max()))[1]
-    e = e if abs(e) > PLAN_EXP else 0
-    if e:               # else plan R itself, with no copy
-        r = np.ldexp(r, -e)
+    r, e = pow2_scale(r)
     n = r.shape[1]
     col_norms = np.linalg.norm(r, axis=0)
     col_perm = np.argsort(-col_norms, kind="stable")

@@ -58,10 +58,12 @@ def _random_partition(rng: np.random.Generator) -> mc.BlockPartition:
 def verify_matcore(seed: int, trials: int) -> mc.CheckReport:
     rep = mc.CheckReport()
     rng = rm.stream(seed, 0)
-    for _ in range(trials):
+    # each block also at 2^e, from its own stream, so it shifts none of rng's draws
+    for e in rm.stream(seed, 0, 1).integers(-900, 901, size=trials):
         a = rng.standard_normal((int(rng.integers(1, 10)), int(rng.integers(1, 10))))
         norm, exact = mc.operator_norm(a), np.linalg.norm(a, 2)
-        rep.add("schur_bound_dominates_norm", mc.schur_test_bound(a) - norm, tol=1e-12)
+        for bound in (mc.schur_test_bound(a), np.ldexp(mc.schur_test_bound(np.ldexp(a, e)), -e)):
+            rep.add("schur_bound_dominates_norm", bound - norm, tol=1e-12)
         rep.add("operator_norm_matches_svd", 1e-13 * exact - abs(norm - exact))
     return rep
 

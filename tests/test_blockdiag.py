@@ -388,8 +388,9 @@ class TestKyFanColumnBounds:
     def test_orthonormal_columns_pass_in_any_units(self, e):
         # head and tail are 0 in exact arithmetic. Squared as given, 2^520 y
         # overflowed to NaN margins and 2^-600 y underflowed to margins of
-        # exactly 0, which pass without testing anything; y is normalized
-        # by a power of two first, so 2^e y has the margins of y
+        # exactly 0, which pass without testing anything; the margins are
+        # fractions of ||y||_F^2, squared on pow2_scale(y), so 2^e y has the
+        # margins of y
         for _ in range(20):
             q = np.linalg.qr(RNG.standard_normal((8, 5)))[0]
             rep = bd.kyfan_column_bounds(np.ldexp(q, e), 3)
@@ -397,10 +398,15 @@ class TestKyFanColumnBounds:
             assert margins(rep) == margins(bd.kyfan_column_bounds(q, 3))
 
     def test_golden_spectrum_hand_case(self):
+        # margins are fractions of ||y||_F^2 = 3
         y = np.array([[1.0, 1.0], [0.0, 1.0]])
         got = margins(bd.kyfan_column_bounds(y, 1))
-        assert got["head"] == pytest.approx(GOLDEN ** 2 - 2.0, abs=1e-12)
-        assert got["tail"] == pytest.approx(1.0 - (GOLDEN - 1.0) ** 2, abs=1e-12)
+        assert got["head"] == pytest.approx((GOLDEN ** 2 - 2.0) / 3.0, abs=1e-12)
+        assert got["tail"] == pytest.approx((1.0 - (GOLDEN - 1.0) ** 2) / 3.0, abs=1e-12)
+
+    def test_zero_block_has_zero_margins(self):
+        rep = bd.kyfan_column_bounds(np.zeros((4, 3)), 2)
+        assert margins(rep) == {"head": 0.0, "tail": 0.0} and rep.all_passed
 
     def test_random_suite_no_violations(self):
         for _ in range(500):

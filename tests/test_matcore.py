@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from blocksvd import blockdiag as bd
 from blocksvd import matcore as mc
+from blocksvd import pipeline as pl
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -79,6 +81,15 @@ class TestNorms:
     @given(finite_matrices)
     def test_schur_bound_dominates(self, m):
         assert mc.schur_test_bound(m) >= mc.operator_norm(m) - 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e", [-600, 600])
+    def test_schur_bound_dominates_at_extreme_scales(self, e):
+        # unscaled, the sums' product underflowed to 0.0 at 2^-600, below
+        # the norm 1.3e-180, and overflowed at 2^600
+        m = np.ldexp(np.array([[1.0, 2.0], [3.0, 4.0]]), e)
+        assert mc.schur_test_bound(m) == np.ldexp(np.sqrt(42.0), e)
+        assert mc.schur_test_bound(m) >= mc.operator_norm(m)
 
 
 def _mixed_magnitudes():
@@ -201,6 +212,83 @@ class TestCertifiedNorm:
     def test_zero_block_is_exact(self):
         nb = mc.certified_norm(np.zeros((20, 8)))
         assert (nb.value, nb.method, nb.iterations) == (0.0, "collatz-wielandt", 1)
+
+
+W = mc.SCALE_EXP
+
+
+def _recipe(seed: int = 0) -> np.ndarray:
+    """README's 200 x 80 recipe: |N(0, 1)| at 30% density, first 20 columns x10."""
+    rng = np.random.default_rng(seed)
+    r = np.abs(rng.standard_normal((200, 80))) * (rng.random((200, 80)) < 0.3)
+    r[:, :20] *= 10.0
+    return r
+
+
+class TestScaleRule:
+    @pytest.mark.parametrize("e", [-W, -20, 0, 20, W - 1])
+    def test_window_is_used_as_is(self, e):
+        m = np.ldexp(np.array([[1.0, -1.5], [0.25, 0.0]]), e)
+        y, got = mc.pow2_scale(m)
+        assert y is m and got == 0
+
+    @pytest.mark.parametrize("m", [np.zeros((3, 2)), np.ones((0, 4))], ids=["zero", "empty"])
+    def test_zero_and_empty_are_used_as_is(self, m):
+        y, e = mc.pow2_scale(m)
+        assert y is m and e == 0
+
+    @pytest.mark.parametrize("e", [-1074, -1030, -(W + 2), W + 1, 1022])
+    def test_outside_is_scaled_into_one_two(self, e):
+        # at -1074 and -1030 every entry is subnormal
+        m = np.ldexp(np.array([[3.0, -2.0], [1.0, 0.0]]), e)
+        y, got = mc.pow2_scale(m)
+        assert 1.0 <= np.abs(y).max() < 2.0
+        np.testing.assert_array_equal(np.ldexp(y, got), m)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e", [-1000, -600, -(W + 1), -(W - 1), -20, 20, W - 1, W + 1, 511, 1000])
+    def test_results_scale_with_the_input(self, e):
+        r = _recipe()
+        d, signed = r[20:, 20:], np.random.default_rng(1).standard_normal((40, 25))
+        assert mc.certified_norm(d).method == "collatz-wielandt"
+        for m in (d, signed, r):
+            s = np.ldexp(m, e)
+            assert mc.operator_norm(s) == np.ldexp(mc.operator_norm(m), e)
+            assert mc.schur_test_bound(s) == np.ldexp(mc.schur_test_bound(m), e)
+            want, got = mc.certified_norm(m), mc.certified_norm(s)
+            assert got == mc.NormBound(float(np.ldexp(want.value, e)), want.method, want.iterations)
+            assert (bd.kyfan_column_bounds(s, 5).to_json()
+                    == bd.kyfan_column_bounds(m, 5).to_json())
+        plan = pl.plan_partition(r).to_json()
+        plan["threshold"] = float(np.ldexp(plan["threshold"], e))
+        assert pl.plan_partition(np.ldexp(r, e)).to_json() == plan
+        want, got = pl.approximate(r, k=20, i=5), pl.approximate(np.ldexp(r, e), k=20, i=5)
+        assert (got.norm_d, got.error_bound) == (np.ldexp(want.norm_d, e),
+                                                np.ldexp(want.error_bound, e))
+        assert ((got.norm_d_method, got.norm_d_iterations)
+                == (want.norm_d_method, want.norm_d_iterations))
+        # LAPACK rescales the core past about 2^+-459, by factors that are
+        # not powers of two
+        assert np.abs(np.ldexp(got.values, -e) - want.values).max() <= 1e-15 * want.values[0]
+
+    @pytest.mark.parametrize("call", [
+        mc.operator_norm, mc.certified_norm,
+        lambda r: mc.ratio_svd(r[:20, :20], r[:20, 20:],
+                               np.linalg.svd(r[:20, :20], compute_uv=False), factors=True)],
+        ids=["operator_norm", "certified_norm", "ratio_svd"])
+    def test_no_copy_at_ordinary_scale(self, monkeypatch, call):
+        r = _recipe()
+        r[np.arange(20), np.arange(20)] += 1.0     # a nonsingular pivot
+        real_ldexp, scaled = np.ldexp, []
+
+        def ldexp(x, *args, **kwargs):
+            scaled.append(np.ndim(x))
+            return real_ldexp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "ldexp", ldexp)
+        call(r)
+        monkeypatch.undo()
+        assert 2 not in scaled
 
 
 class TestCheckReport:
